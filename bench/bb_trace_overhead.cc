@@ -39,7 +39,7 @@ using simdtree::bench::EmitJson;
 using Tree = simdtree::segtree::SegTree<uint64_t, uint64_t>;
 
 // One traced-or-not lookup, replicating the wrapper hook
-// (core/synchronized.h) without its shared_mutex so the measurement
+// (core/sharded.h) without its shard lock so the measurement
 // isolates the tracing machinery itself.
 inline bool LookupWithHook(const Tree& tree, uint64_t key) {
   if (simdtree::obs::TraceShouldSample()) [[unlikely]] {

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   }
 
   // Serve concurrent-safe reads while appending today's batch.
-  SynchronizedIndex<Tree> index(std::move(tree));
+  ShardedIndex<Tree> index(std::move(tree));
   Rng rng(next_order_id);
   constexpr int kBatch = 50000;
   for (int i = 0; i < kBatch; ++i) {
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
               static_cast<double>(revenue) / 100.0);
 
   // Persist for the next run.
-  const auto blob = index.WithRead([](const Tree& t) {
+  const auto blob = index.WithShardRead(0, [](const Tree& t) {
     return io::Serialize<uint64_t, uint64_t>(t,
                                              btree::PaperNodeCapacity(8));
   });

@@ -107,22 +107,6 @@ class BatchDescent {
     }
   }
 
-  // Traced batch lookup: identical results to FindBatch, additionally
-  // recording a descent trace (obs/trace.h) for the batch's first key,
-  // marked batched=1. The traced key is re-descended through the tree's
-  // FindTraced — one extra serial descent per *sampled* batch, so the
-  // pipelined group path itself stays free of instrumentation branches.
-  static void FindBatchTraced(const Tree& tree, const Key* keys, size_t n,
-                              const Value** out, int group,
-                              SearchCounters* counters,
-                              obs::DescentTrace* t) {
-    FindBatch(tree, keys, n, out, group, counters);
-    if (n > 0) {
-      t->batched = 1;
-      tree.FindTraced(keys[0], t);
-    }
-  }
-
   // --- optimistic (lock-free) batch descents ------------------------------
   //
   // Same pipelined / level-wise schedules as FindBatch / FindBatchGrouped,

@@ -78,6 +78,7 @@
 #include <vector>
 
 #include "btree/batch_descent.h"
+#include "core/descent_observer.h"
 #include "core/olc.h"
 #include "mem/arena.h"
 #include "obs/trace.h"
@@ -276,12 +277,26 @@ class GenericBPlusTree {
 
   // Value of some occurrence of `key`, or nullopt.
   std::optional<Value> Find(Key key) const {
-    const LeafPos pos = FindLeafPos(key);
-    if (pos.leaf == nullptr) return std::nullopt;
-    return pos.leaf->values[static_cast<size_t>(pos.index)];
+    return ValueAt(FindLeafPos(key, descent::None{}));
   }
 
-  bool Contains(Key key) const { return FindLeafPos(key).leaf != nullptr; }
+  bool Contains(Key key) const {
+    return FindLeafPos(key, descent::None{}).leaf != nullptr;
+  }
+
+  // Find, also counting the nodes visited on the root-to-leaf descent
+  // (paper: one node search per tree level, plus one for a step into the
+  // previous leaf) and the in-node comparisons.
+  std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
+    return ValueAt(FindLeafPos(key, descent::Counters{counters}));
+  }
+
+  // Find, also recording a descent trace (obs/trace.h): one level span
+  // per node searched, plus the key, backend and found flag. The
+  // sampling wrapper (core/sharded.h) routes 1-in-N queries here.
+  std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
+    return ValueAt(FindLeafPos(key, descent::Trace{t}));
+  }
 
   // Batched point lookup: out[i] = pointer to the stored value of some
   // occurrence of keys[i], or nullptr when absent. Implemented with group
@@ -296,15 +311,6 @@ class GenericBPlusTree {
                  SearchCounters* counters = nullptr) const {
     BatchDescent<GenericBPlusTree>::FindBatch(*this, keys, n, out, group,
                                               counters);
-  }
-
-  // FindBatch plus a descent trace for the batch's first key (see
-  // BatchDescent::FindBatchTraced for the exact contract).
-  void FindBatchTraced(const Key* keys, size_t n, const Value** out,
-                       int group, SearchCounters* counters,
-                       obs::DescentTrace* t) const {
-    BatchDescent<GenericBPlusTree>::FindBatchTraced(*this, keys, n, out,
-                                                    group, counters, t);
   }
 
   // Batched lower bound: out[i] = iterator at the first pair with
@@ -348,78 +354,6 @@ class GenericBPlusTree {
                               SearchCounters* counters = nullptr) const {
     BatchDescent<GenericBPlusTree>::LowerBoundBatchGrouped(*this, keys, n,
                                                            out, counters);
-  }
-
-  // Instrumented lookup: same result as Find, additionally counting the
-  // nodes visited on the root-to-leaf descent (paper: one node search per
-  // tree level).
-  std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
-    if (root_ == nullptr) return std::nullopt;
-    const NodeBase* node = root_;
-    while (!node->is_leaf) {
-      ++counters->nodes_visited;
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      node = DecodeRef(
-          inner->children[static_cast<size_t>(inner->keys.UpperBound(key))]);
-    }
-    ++counters->nodes_visited;
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
-    int64_t pos = leaf->keys.UpperBound(key);
-    if (pos == 0) {
-      leaf = leaf->prev;
-      if (leaf == nullptr) return std::nullopt;
-      ++counters->nodes_visited;
-      pos = leaf->keys.count();
-    }
-    if (leaf->keys.At(pos - 1) != key) return std::nullopt;
-    return leaf->values[static_cast<size_t>(pos - 1)];
-  }
-
-  // Traced lookup (obs/trace.h): same result as Find, appending one
-  // level span per node searched — compressed node ref, key-store
-  // layout, arena slab, in-node comparison counts, cycles — and
-  // stamping the backend and found flag. The untraced Find stays free
-  // of all bookkeeping; the sampling wrappers (core/synchronized.h,
-  // core/sharded.h) route 1-in-N queries here.
-  std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
-    t->key =
-        static_cast<uint64_t>(static_cast<std::make_unsigned_t<Key>>(key));
-    std::optional<Value> result;
-    if (root_ != nullptr) {
-      const NodeBase* node = root_;
-      while (!node->is_leaf) {
-        const uint64_t start = CycleTimer::Now();
-        const InnerNode* inner = static_cast<const InnerNode*>(node);
-        SearchCounters cmps;
-        node = DecodeRef(inner->children[static_cast<size_t>(
-            inner->keys.UpperBoundCounted(key, &cmps))]);
-        obs::AppendTraceLevel(t, inner->self, inner->keys.TraceLayoutId(),
-                              TraceSlab(inner->self), cmps,
-                              CycleTimer::Now() - start);
-      }
-      const uint64_t start = CycleTimer::Now();
-      const LeafNode* searched = static_cast<const LeafNode*>(node);
-      SearchCounters cmps;
-      int64_t pos = searched->keys.UpperBoundCounted(key, &cmps);
-      const LeafNode* leaf = searched;
-      if (pos == 0) {  // the occurrence, if any, ends the previous leaf
-        leaf = leaf->prev;
-        if (leaf != nullptr) pos = leaf->keys.count();
-      }
-      if (leaf != nullptr && leaf->keys.At(pos - 1) == key) {
-        result = leaf->values[static_cast<size_t>(pos - 1)];
-      }
-      obs::AppendTraceLevel(t, searched->self,
-                            searched->keys.TraceLayoutId(),
-                            TraceSlab(searched->self), cmps,
-                            CycleTimer::Now() - start);
-      t->backend = static_cast<uint8_t>(
-          searched->keys.TraceLayoutId() == 0
-              ? obs::TraceBackend::kBPlusTree
-              : obs::TraceBackend::kSegTree);
-    }
-    t->found = result.has_value() ? 1 : 0;
-    return result;
   }
 
   // Number of stored occurrences of `key`.
@@ -1234,24 +1168,53 @@ class GenericBPlusTree {
   // Locates one occurrence of `key` via upper-bound descent (the paper's
   // navigation): the descent lands in the leaf holding the global upper
   // bound of `key`; the occurrence, if any, is the position before it —
-  // possibly the last key of the previous leaf.
-  LeafPos FindLeafPos(Key key) const {
-    if (root_ == nullptr) return {};
-    const NodeBase* node = root_;
-    while (!node->is_leaf) {
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      node = DecodeRef(
-          inner->children[static_cast<size_t>(inner->keys.UpperBound(key))]);
+  // possibly the last key of the previous leaf. This is the tree's one
+  // single-key descent; the observer (core/descent_observer.h) decides
+  // what it records.
+  template <typename Observer>
+  LeafPos FindLeafPos(Key key, Observer o) const {
+    o.Start(static_cast<uint64_t>(static_cast<std::make_unsigned_t<Key>>(key)),
+            KeyStore::kTraceBackend);
+    LeafPos found;
+    if (root_ != nullptr) {
+      const NodeBase* node = root_;
+      while (!node->is_leaf) {
+        const InnerNode* inner = static_cast<const InnerNode*>(node);
+        node = DecodeRef(
+            inner->children[static_cast<size_t>(SearchNode(o, inner, key))]);
+      }
+      const LeafNode* leaf = static_cast<const LeafNode*>(node);
+      int64_t pos = SearchNode(o, leaf, key);
+      if (pos == 0) {
+        leaf = leaf->prev;
+        if (leaf != nullptr) {
+          o.Hop();
+          pos = leaf->keys.count();
+        }
+      }
+      if (leaf != nullptr && leaf->keys.At(pos - 1) == key) {
+        found = {leaf, pos - 1};
+      }
     }
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
-    int64_t pos = leaf->keys.UpperBound(key);
-    if (pos == 0) {
-      leaf = leaf->prev;
-      if (leaf == nullptr) return {};
-      pos = leaf->keys.count();
-    }
-    if (leaf->keys.At(pos - 1) != key) return {};
-    return {leaf, pos - 1};
+    o.Found(found.leaf != nullptr);
+    return found;
+  }
+
+  // One node's upper-bound search under the descent observer.
+  template <typename Observer, typename Node>
+  int64_t SearchNode(Observer& o, const Node* node, Key key) const {
+    return o.Search(
+        [&] { return node->keys.UpperBound(key); },
+        [&](SearchCounters* c) { return node->keys.UpperBoundCounted(key, c); },
+        [&] {
+          return descent::NodeInfo{node->self, node->keys.TraceLayoutId(),
+                                   TraceSlab(node->self)};
+        });
+  }
+
+  static std::optional<Value> ValueAt(LeafPos pos) {
+    if (pos.leaf == nullptr) return std::nullopt;
+    return pos.leaf->values[static_cast<size_t>(pos.index)];
   }
 
   // --- erase --------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "kary/scalar_search.h"
+#include "obs/trace.h"
 
 namespace simdtree::btree {
 
@@ -98,8 +99,11 @@ class PlainKeyStore {
                                                       counters);
   }
 
-  // Trace layout id (obs/trace.h kTraceLayoutPlain).
+  // Trace layout id (obs/trace.h kTraceLayoutPlain) and the tree family
+  // a trace of a tree over this store reports.
   uint8_t TraceLayoutId() const { return 0; }
+  static constexpr obs::TraceBackend kTraceBackend =
+      obs::TraceBackend::kBPlusTree;
 
   // Prefetches the key storage ahead of an UpperBound call (batch
   // descent, see btree/batch_descent.h); fetch the line a binary search

@@ -1,13 +1,14 @@
-// Range-partitioned sharded wrapper for any simdtree index.
+// Range-partitioned concurrent wrapper for any simdtree index.
 //
-// SynchronizedIndex (synchronized.h) makes the structures shareable with
-// one global reader/writer lock, which serializes every writer — the
-// scaling wall the paper's Section 7 future-work note ("the impact of
-// SIMD instructions on concurrently used index structures") leaves open.
-// ShardedIndex takes the simplest scalable step past it: N
-// range-partitioned shards, each an independent Index instance behind
-// its own shared_mutex, so writers to different key ranges proceed in
-// parallel and lock contention drops by ~1/N even when they don't.
+// The paper's evaluation is single-threaded and names concurrency as
+// future work ("the impact of SIMD instructions on concurrently used
+// index structures is an ongoing research task", Section 7).
+// ShardedIndex makes the structures shareable: N range-partitioned
+// shards, each an independent Index instance behind its own
+// shared_mutex, so writers to different key ranges proceed in parallel.
+// One shard is the coarse wrapper: the whole key domain behind one
+// reader/writer lock (ShardedIndex(1), or ShardedIndex(index) to move
+// an existing index in).
 //
 // Partitioning is static and rebalance-free: N-1 sorted splitter keys
 // divide the key domain; shard i owns [splitter[i-1], splitter[i]) (a
@@ -18,7 +19,7 @@
 // distribution.
 //
 // Consistency model: each operation is atomic within one shard.
-// Multi-shard operations (size, ScanRange, FindBatch, Clear) lock one
+// Multi-shard operations (size, ScanRange, FindBatch, Clear) visit one
 // shard at a time in ascending shard order, so they see a per-shard
 // snapshot, not a global one — a concurrent writer may land between two
 // shard visits. This is the usual contract of partitioned stores;
@@ -30,24 +31,27 @@
 // visited in key order and each shard only stores keys of its own
 // range, so the callback still observes keys in globally ascending
 // order. FindBatch is shard-aware: the query batch is partitioned by
-// shard, each shard's keys run through the underlying group-pipelined
-// FindBatch (btree/batch_descent.h, kary/batch_search.h, the trie's
-// FindBatch) under ONE lock acquisition per shard, and results scatter
+// shard (skipped when there is one), each shard's keys run through the
+// index's grouped or group-pipelined batch descent, and results scatter
 // back to the caller's order.
 //
-// Lock-free reads (optimistic lock coupling): when the wrapped index
-// exposes the optimistic read paths (the B+-trees with trivially
-// copyable payloads in arena mode, see generic_btree.h), the
-// constructor arms them and Find / Contains / FindBatch / ScanRange
-// descend WITHOUT touching the shard lock: readers pin a reclamation
-// epoch (core/olc.h), validate per-node versions, and restart on
-// writer conflict — at most olc::kMaxReadRetries times, then fall back
-// to one shared-lock acquisition. Writers still take the shard's
-// exclusive lock (serializing writers per shard) but no longer stall
-// readers, and readers no longer starve writers through glibc's
-// reader-preferring rwlock. SIMDTREE_FORCE_SHARD_LOCKS=1 restores the
-// pure locked behavior process-wide. Conflict/fallback volume is
-// observable via the olc.* counters (obs/metrics.h).
+// The read ladder. Every read of a shard — Find/Contains, a FindBatch
+// sub-batch, a ScanRange piece — climbs the same ladder (ReadShard):
+//   1. when the index supports optimistic lock coupling (the B+-trees
+//      with trivially copyable payloads in arena mode, generic_btree.h),
+//      pin a reclamation epoch (core/olc.h) and descend WITHOUT the
+//      shard lock, validating per-node versions;
+//   2. retry what a writer invalidated, up to olc::kMaxReadRetries
+//      attempts in all;
+//   3. take the shard's shared lock once for whatever is left.
+// Bounding the retries is also the writer-starvation fix: glibc's rwlock
+// is reader-preferring, and with OLC readers rarely touch it, so writers
+// acquire the exclusive lock promptly. A sampled trace (obs/trace.h)
+// goes straight to rung 3, so it records the lock wait and the traced
+// per-level descent. Indexes without the optimistic reads (tries,
+// heap-mode trees) and SIMDTREE_FORCE_SHARD_LOCKS=1 use rung 3 alone.
+// Conflict and fallback volume is exported as the olc.* counters
+// (obs/metrics.h).
 
 #ifndef SIMDTREE_CORE_SHARDED_H_
 #define SIMDTREE_CORE_SHARDED_H_
@@ -69,7 +73,6 @@
 
 #include "core/batch.h"
 #include "core/olc.h"
-#include "core/trace_hooks.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -77,6 +80,18 @@
 #include "util/cycle_timer.h"
 
 namespace simdtree {
+
+// Indexes whose grouped batch descent records a per-level trace (the
+// B+-tree family, btree/batch_descent.h): one span per level with the
+// nodes it loaded and the batch size sharing them. A sampled grouped
+// batch on any other index is traced through its first key.
+template <typename Index>
+concept HasGroupedTrace =
+    requires(const Index& index, const typename Index::KeyType* keys,
+             size_t n, const typename Index::ValueType** out,
+             obs::DescentTrace* t) {
+      index.FindBatchGroupedTraced(keys, n, out, nullptr, t);
+    };
 
 template <typename Index>
 class ShardedIndex {
@@ -103,19 +118,16 @@ class ShardedIndex {
     for (size_t s = 0; s < num_shards; ++s) {
       shards_.push_back(std::make_unique<Shard>());
     }
-    // Arm lock-free reads when the index supports them and the env
-    // override doesn't force the pure locked path. All shards must arm
-    // (heap mode refuses) or none do — mixed modes would complicate the
-    // read paths for no benefit.
-    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (!olc::ForceShardLocks()) {
-        bool all = true;
-        for (auto& shard : shards_) {
-          if (!shard->index.EnableConcurrentReads()) all = false;
-        }
-        olc_enabled_ = all;
-      }
-    }
+    ArmOptimisticReads();
+  }
+
+  // One shard holding an existing index, moved in (e.g. one loaded from
+  // a serialized blob): no splitters, lock-free reads armed as for any
+  // shard.
+  explicit ShardedIndex(Index index)
+      : olc_metrics_(obs::OlcMetrics::Register()) {
+    shards_.push_back(std::make_unique<Shard>(std::move(index)));
+    ArmOptimisticReads();
   }
 
   ShardedIndex(const ShardedIndex&) = delete;
@@ -193,39 +205,30 @@ class ShardedIndex {
 
   std::optional<ValueType> Find(KeyType key) const {
     if (metrics_) metrics_->reads->Add();
+    const size_t s = ShardOf(key);
+    std::optional<ValueType> out;
+    auto read = [&](obs::DescentTrace* t) {
+      ReadShard(
+          s, t,
+          [&](const auto& index) -> size_t {
+            return index.FindOptimistic(key, &out) == olc::ReadResult::kOk
+                       ? 0
+                       : 1;
+          },
+          [&](const Index& index, obs::DescentTrace* trace) {
+            out = trace != nullptr ? index.FindTraced(key, trace)
+                                   : index.Find(key);
+          });
+    };
     if (obs::TraceShouldSample()) [[unlikely]] {
-      return TracedFind(key);
+      Traced(s, read);
+    } else {
+      read(nullptr);
     }
-    const Shard& shard = *shards_[ShardOf(key)];
-    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (olc_enabled_) {
-        std::optional<ValueType> out;
-        if (FindOptimisticWithRetries(shard, key, &out)) return out;
-      }
-    }
-    std::shared_lock lock(shard.mutex);
-    obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
-    return shard.index.Find(key);
+    return out;
   }
 
-  bool Contains(KeyType key) const {
-    if (metrics_) metrics_->reads->Add();
-    if (obs::TraceShouldSample()) [[unlikely]] {
-      return TracedFind(key).has_value();
-    }
-    const Shard& shard = *shards_[ShardOf(key)];
-    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (olc_enabled_) {
-        std::optional<ValueType> out;
-        if (FindOptimisticWithRetries(shard, key, &out)) {
-          return out.has_value();
-        }
-      }
-    }
-    std::shared_lock lock(shard.mutex);
-    obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
-    return shard.index.Contains(key);
-  }
+  bool Contains(KeyType key) const { return Find(key).has_value(); }
 
   size_t size() const {
     size_t total = 0;
@@ -236,134 +239,34 @@ class ShardedIndex {
     return total;
   }
 
-  // Batched point lookup, shard-aware: out[i] = value of keys[i] or
-  // nullopt. The batch is partitioned by shard (counting sort on shard
-  // id, preserving caller order within each shard), each shard's
-  // sub-batch runs the underlying group-pipelined FindBatch under one
-  // shared-lock acquisition, and the values are copied back to the
-  // caller's positions while that shard's lock is held — so the results
-  // stay valid after concurrent writers proceed.
+  // Batched point lookup: out[i] = value of keys[i] or nullopt. Each
+  // shard's keys climb the read ladder as one sub-batch; values are
+  // copies, so the results stay valid after concurrent writers proceed.
+  // A sampled batch records one trace, attributed to its first key.
   void FindBatch(const KeyType* keys, size_t n,
                  std::optional<ValueType>* out) const {
     if (n == 0) return;
-    const size_t num = shards_.size();
-    // Single shard: every key belongs to shard 0, so the partition and
-    // scatter passes are pure overhead — run the whole batch directly.
-    if (num == 1) {
-      if (metrics_) {
-        metrics_->batches->Add();
-        metrics_->batch_keys->Add(n);
-        metrics_->batch_size->Record(n);
-        metrics_->shard_imbalance->Set(1.0);
-      }
-      std::optional<obs::TraceScope> scope;
-      if (obs::TraceShouldSample()) [[unlikely]] {
-        scope.emplace();
-        scope->trace()->shard = 0;
-      }
-      // Request-span hook (obs/request_trace.h): the whole single-shard
-      // batch is one descent span; there is no fan-out to attribute.
-      obs::CollectedSpanScope descent_span(
-          obs::RequestSpanKind::kDescent);
-      if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-        if (olc_enabled_ && !scope) {
-          RunSubBatchOptimistic(
-              *shards_[0], keys, n,
-              [out](size_t j, std::optional<ValueType>&& v) {
-                out[j] = std::move(v);
-              });
-          return;
-        }
-      }
-      RunSubBatch(*shards_[0], keys, n, scope ? scope->trace() : nullptr,
-                  [out](size_t j, const ValueType* p) {
-                    if (p != nullptr) {
-                      out[j] = *p;
-                    } else {
-                      out[j] = std::nullopt;
-                    }
-                  });
-      if (scope) scope->Finish();
-      return;
-    }
-    // Request-span hook: passes 1-2 (partition + scatter) are the
-    // shard_fanout span, pass 3 (per-shard descents) the descent span.
-    obs::CollectedSpanScope fanout_span(
-        obs::RequestSpanKind::kShardFanout);
-    // Pass 1: shard id per key + per-shard counts.
-    std::vector<uint32_t> shard_of(n);
-    std::vector<size_t> start(num + 1, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t s = ShardOf(keys[i]);
-      shard_of[i] = static_cast<uint32_t>(s);
-      ++start[s + 1];
-    }
-    for (size_t s = 0; s < num; ++s) start[s + 1] += start[s];
     if (metrics_) {
       metrics_->batches->Add();
       metrics_->batch_keys->Add(n);
       metrics_->batch_size->Record(n);
-      // Imbalance of this batch across shards: the largest shard's key
-      // count relative to a perfectly even split (1.0 = balanced,
-      // num_shards = everything on one shard).
-      size_t max_count = 0;
-      for (size_t s = 0; s < num; ++s) {
-        max_count = std::max(max_count, start[s + 1] - start[s]);
-      }
-      metrics_->shard_imbalance->Set(static_cast<double>(max_count * num) /
-                                     static_cast<double>(n));
     }
-    // Pass 2: scatter keys and original positions into shard order.
-    std::vector<KeyType> skeys(n);
-    std::vector<size_t> spos(n);
-    {
-      std::vector<size_t> fill(start.begin(), start.end() - 1);
-      for (size_t i = 0; i < n; ++i) {
-        const size_t at = fill[shard_of[i]]++;
-        skeys[at] = keys[i];
-        spos[at] = i;
+    auto read = [&](obs::DescentTrace* t) {
+      if (shards_.size() == 1) {
+        if (metrics_) metrics_->shard_imbalance->Set(1.0);
+        // Request-span hook (obs/request_trace.h): with no fan-out, the
+        // whole batch is one descent span.
+        obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+        ReadShardBatch(0, keys, n, out, t);
+      } else {
+        FanOutBatch(keys, n, out, t);
       }
-    }
-    // One trace per sampled batch, attributed to the batch's first key.
-    // The counting sort preserves caller order within a shard, so
-    // keys[0] is the first key of its shard's sub-batch; its chunk is
-    // traced and the trace carries that shard's id and lock wait.
-    std::optional<obs::TraceScope> scope;
+    };
     if (obs::TraceShouldSample()) [[unlikely]] {
-      scope.emplace();
-      scope->trace()->shard = static_cast<uint16_t>(shard_of[0]);
+      Traced(ShardOf(keys[0]), read);
+    } else {
+      read(nullptr);
     }
-    fanout_span.Finish();
-    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-    // Pass 3: per shard, one lock, the whole sub-batch through the
-    // grouped descent (when it clears the heuristic) or the chunked
-    // pipelined FindBatch, scattering back to caller order.
-    for (size_t s = 0; s < num; ++s) {
-      const size_t lo = start[s], hi = start[s + 1];
-      if (lo == hi) continue;
-      const bool traced = scope && s == shard_of[0];
-      const size_t* pos = spos.data() + lo;
-      if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-        if (olc_enabled_ && !traced) {
-          RunSubBatchOptimistic(
-              *shards_[s], skeys.data() + lo, hi - lo,
-              [out, pos](size_t j, std::optional<ValueType>&& v) {
-                out[pos[j]] = std::move(v);
-              });
-          continue;
-        }
-      }
-      RunSubBatch(*shards_[s], skeys.data() + lo, hi - lo,
-                  traced ? scope->trace() : nullptr,
-                  [out, pos](size_t j, const ValueType* p) {
-                    if (p != nullptr) {
-                      out[pos[j]] = *p;
-                    } else {
-                      out[pos[j]] = std::nullopt;
-                    }
-                  });
-    }
-    if (scope) scope->Finish();
   }
 
   // Merged arena occupancy across all shards (all-zero when the index
@@ -380,28 +283,41 @@ class ShardedIndex {
 
   // Runs fn(key, value) over [lo, hi) (or [lo, hi] when hi_inclusive)
   // in globally ascending key order, stitching across shard boundaries:
-  // shards intersecting the range are visited in key order, each under
-  // its shared lock. fn must not call back into this index. The scan is
+  // shards intersecting the range are visited in key order, each up the
+  // read ladder. fn must not call back into this index. The scan is
   // atomic per shard, not across shards (see the consistency note
   // above).
   template <typename Fn>
   void ScanRange(KeyType lo, KeyType hi, Fn fn,
                  bool hi_inclusive = false) const {
     if (!hi_inclusive && lo >= hi) return;
-    const size_t first = ShardOf(lo);
     const size_t last = ShardOf(hi);
-    for (size_t s = first; s <= last; ++s) {
-      if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-        if (olc_enabled_) {
-          if (ScanShardOptimistic(*shards_[s], lo, hi, fn, hi_inclusive)) {
-            continue;
-          }
-        }
-      }
-      std::shared_lock lock(shards_[s]->mutex);
-      shards_[s]->index.ScanRange(
-          lo, hi, [&fn](KeyType k, const ValueType& v) { fn(k, v); },
-          hi_inclusive);
+    for (size_t s = ShardOf(lo); s <= last; ++s) {
+      // A conflicted optimistic attempt resumes after the pairs it has
+      // delivered: from `resume`, skipping `skip` occurrences of it, so
+      // fn never sees a pair twice.
+      KeyType resume = lo;
+      uint32_t skip = 0;
+      ReadShard(
+          s, nullptr,
+          [&](const auto& index) -> size_t {
+            return index.ScanRangeOptimistic(
+                       hi, hi_inclusive, &resume, &skip,
+                       [&fn](KeyType k, const ValueType& v) { fn(k, v); }) ==
+                           olc::ReadResult::kOk
+                       ? 0
+                       : 1;
+          },
+          [&](const Index& index, obs::DescentTrace*) {
+            uint32_t seen = 0;
+            index.ScanRange(
+                resume, hi,
+                [&](KeyType k, const ValueType& v) {
+                  if (k == resume && seen++ < skip) return;
+                  fn(k, v);
+                },
+                hi_inclusive);
+          });
     }
   }
 
@@ -452,18 +368,55 @@ class ShardedIndex {
   }
 
  private:
-  struct Shard;
+  // Arms lock-free reads when the index supports them and
+  // SIMDTREE_FORCE_SHARD_LOCKS does not force the locked path. All
+  // shards must arm (heap mode refuses) or none do — mixed modes would
+  // complicate the read ladder for no benefit.
+  void ArmOptimisticReads() {
+    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
+      if (olc::ForceShardLocks()) return;
+      bool all = true;
+      for (auto& shard : shards_) {
+        all = shard->index.EnableConcurrentReads() && all;
+      }
+      olc_enabled_ = all;
+    }
+  }
 
-  // One shard's sub-batch under its shared lock: the grouped
-  // (level-wise, sort-once) descent when the index has one and the
-  // sub-batch clears the UseGroupedDescent heuristic, otherwise the
-  // chunked group-pipelined FindBatch. emit(j, ptr) receives each
-  // result in sub-batch order while the lock is held. A non-null `t`
-  // traces this sub-batch (whole batch when grouped, first chunk when
-  // pipelined) and receives the lock wait.
-  template <typename Emit>
-  void RunSubBatch(const Shard& shard, const KeyType* keys, size_t m,
-                   obs::DescentTrace* t, Emit emit) const {
+  // A sampled read: read(trace) inside one trace scope, stamped with
+  // the shard that serves the read (for a batch, its first key's).
+  template <typename Read>
+  static void Traced(size_t shard, Read& read) {
+    obs::TraceScope scope;
+    scope.trace()->shard = static_cast<uint16_t>(shard);
+    read(scope.trace());
+    scope.Finish();
+  }
+
+  // The read ladder of shard s (see the class comment). attempt(index)
+  // makes one optimistic pass and returns how many of its reads a
+  // writer invalidated; locked(index, t) finishes the read under the
+  // shared lock, tracing it into `t` when non-null. A sampled read (`t`)
+  // skips the optimistic rungs.
+  template <typename Attempt, typename Locked>
+  void ReadShard(size_t s, obs::DescentTrace* t, Attempt attempt,
+                 Locked locked) const {
+    const Shard& shard = *shards_[s];
+    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
+      if (olc_enabled_ && t == nullptr) {
+        olc::EpochGuard epoch;
+        // An exhausted epoch registry (256+ reader threads) sends the
+        // read to the lock without counting a fallback.
+        if (epoch.pinned()) {
+          for (int i = 0; i < olc::kMaxReadRetries; ++i) {
+            const size_t conflicted = attempt(shard.index);
+            if (conflicted == 0) return;
+            olc_metrics_.read_retries->Add(conflicted);
+          }
+          olc_metrics_.fallback_acquisitions->Add();
+        }
+      }
+    }
     const uint64_t lock_start = t != nullptr ? CycleTimer::Now() : 0;
     std::shared_lock lock(shard.mutex);
     if (t != nullptr) {
@@ -471,178 +424,160 @@ class ShardedIndex {
           CycleTimer::ToNanoseconds(CycleTimer::Now() - lock_start));
     }
     obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
+    locked(shard.index, t);
+  }
+
+  // FindBatch over several shards: partition the batch by shard
+  // (counting sort on shard id, keeping caller order within a shard),
+  // run each sub-batch up its shard's read ladder, and scatter the
+  // values back to caller order. `t` traces the first key's shard.
+  void FanOutBatch(const KeyType* keys, size_t n,
+                   std::optional<ValueType>* out,
+                   obs::DescentTrace* t) const {
+    const size_t num = shards_.size();
+    // Request-span hook: the partition is the shard_fanout span; the
+    // per-shard descents and the scatter back are the descent span.
+    obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
+    std::vector<uint32_t> shard_of(n);
+    std::vector<size_t> start(num + 1, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t s = ShardOf(keys[i]);
+      shard_of[i] = static_cast<uint32_t>(s);
+      ++start[s + 1];
+    }
+    for (size_t s = 0; s < num; ++s) start[s + 1] += start[s];
+    if (metrics_) {
+      // Imbalance of this batch across shards: the largest shard's key
+      // count relative to a perfectly even split (1.0 = balanced,
+      // num_shards = everything on one shard).
+      size_t max_count = 0;
+      for (size_t s = 0; s < num; ++s) {
+        max_count = std::max(max_count, start[s + 1] - start[s]);
+      }
+      metrics_->shard_imbalance->Set(static_cast<double>(max_count * num) /
+                                     static_cast<double>(n));
+    }
+    std::vector<KeyType> skeys(n);
+    std::vector<size_t> spos(n);
+    {
+      std::vector<size_t> fill(start.begin(), start.end() - 1);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t at = fill[shard_of[i]]++;
+        skeys[at] = keys[i];
+        spos[at] = i;
+      }
+    }
+    fanout_span.Finish();
+    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+    std::vector<std::optional<ValueType>> vals(n);
+    for (size_t s = 0; s < num; ++s) {
+      const size_t lo = start[s], hi = start[s + 1];
+      if (lo == hi) continue;
+      ReadShardBatch(s, skeys.data() + lo, hi - lo, vals.data() + lo,
+                     s == shard_of[0] ? t : nullptr);
+    }
+    for (size_t i = 0; i < n; ++i) out[spos[i]] = std::move(vals[i]);
+  }
+
+  // One shard's sub-batch up the read ladder. The first optimistic pass
+  // runs the whole sub-batch through the grouped or pipelined optimistic
+  // engine; later passes retry the keys a writer invalidated one by one.
+  // The locked rung resolves what is left: the keys still conflicted,
+  // or the whole sub-batch when no optimistic pass ran.
+  void ReadShardBatch(size_t s, const KeyType* keys, size_t m,
+                      std::optional<ValueType>* vals,
+                      obs::DescentTrace* t) const {
+    std::vector<uint32_t> failed;
+    bool attempted = false;
+    ReadShard(
+        s, t,
+        [&](const auto& index) -> size_t {
+          if (!attempted) {
+            attempted = true;
+            if (UseGroupedDescent(m, OptimisticLevels(index))) {
+              index.FindBatchGroupedOptimistic(keys, m, vals, &failed);
+            } else {
+              index.FindBatchOptimistic(keys, m, vals, &failed);
+            }
+          } else {
+            std::erase_if(failed, [&](uint32_t i) {
+              return index.FindOptimistic(keys[i], &vals[i]) ==
+                     olc::ReadResult::kOk;
+            });
+          }
+          return failed.size();
+        },
+        [&](const Index& index, obs::DescentTrace* trace) {
+          if (!attempted) {
+            FindLocked(index, keys, m, vals, trace);
+            return;
+          }
+          for (const uint32_t i : failed) vals[i] = index.Find(keys[i]);
+        });
+  }
+
+  // A sub-batch under the shard lock: the grouped (level-wise,
+  // sort-once) descent when the index has one and the sub-batch clears
+  // UseGroupedDescent, else the pipelined FindBatch in 256-key chunks.
+  // A sampled sub-batch (`t`) records the grouped per-level trace where
+  // the index has one, else the traced descent of its first key.
+  static void FindLocked(const Index& index, const KeyType* keys, size_t m,
+                         std::optional<ValueType>* vals,
+                         obs::DescentTrace* t) {
     if constexpr (HasGroupedFindBatch<Index, KeyType, ValueType>) {
-      if (UseGroupedDescent(m, BatchLevels(shard.index))) {
+      if (UseGroupedDescent(m, BatchLevels(index))) {
         std::vector<const ValueType*> ptrs(m);
-        if (t != nullptr) {
-          core::TracedGroupedFindBatch(shard.index, keys, m, ptrs.data(), t);
-        } else {
-          shard.index.FindBatchGrouped(keys, m, ptrs.data());
+        if constexpr (HasGroupedTrace<Index>) {
+          if (t != nullptr) {
+            index.FindBatchGroupedTraced(keys, m, ptrs.data(), nullptr, t);
+            CopyValues(ptrs.data(), m, vals);
+            return;
+          }
         }
-        for (size_t j = 0; j < m; ++j) emit(j, ptrs[j]);
+        index.FindBatchGrouped(keys, m, ptrs.data());
+        CopyValues(ptrs.data(), m, vals);
+        TraceFirstKey(index, keys[0], t);
         return;
       }
     }
     constexpr size_t kChunk = 256;
     const ValueType* ptrs[kChunk];
     for (size_t off = 0; off < m; off += kChunk) {
-      const size_t g = m - off < kChunk ? m - off : kChunk;
-      if (t != nullptr && off == 0) {
-        core::TracedFindChunk(shard.index, keys, g, ptrs, t);
+      const size_t g = std::min(kChunk, m - off);
+      index.FindBatch(keys + off, g, ptrs);
+      CopyValues(ptrs, g, vals + off);
+    }
+    TraceFirstKey(index, keys[0], t);
+  }
+
+  static void CopyValues(const ValueType* const* ptrs, size_t m,
+                         std::optional<ValueType>* vals) {
+    for (size_t j = 0; j < m; ++j) {
+      if (ptrs[j] != nullptr) {
+        vals[j] = *ptrs[j];
       } else {
-        shard.index.FindBatch(keys + off, g, ptrs);
+        vals[j] = std::nullopt;
       }
-      for (size_t j = 0; j < g; ++j) emit(off + j, ptrs[j]);
     }
   }
 
-  // --- optimistic read plumbing -----------------------------------------
-
-  // One epoch-pinned, bounded-retry optimistic lookup. True: *out holds
-  // the answer. False: the epoch registry was exhausted or
-  // olc::kMaxReadRetries attempts conflicted — the caller takes the
-  // shard's shared lock (the writer-preferring fallback rung: a reader
-  // losing races repeatedly queues once instead of spinning on tree
-  // state forever).
-  bool FindOptimisticWithRetries(const Shard& shard, KeyType key,
-                                 std::optional<ValueType>* out) const {
-    olc::EpochGuard epoch;
-    if (!epoch.pinned()) return false;
-    for (int attempt = 0; attempt < olc::kMaxReadRetries; ++attempt) {
-      if (shard.index.FindOptimistic(key, out) == olc::ReadResult::kOk) {
-        return true;
-      }
-      olc_metrics_.read_retries->Add();
-    }
-    olc_metrics_.fallback_acquisitions->Add();
-    return false;
-  }
-
-  // Lock-free counterpart of RunSubBatch: one epoch pin covers the whole
-  // sub-batch through the optimistic grouped/pipelined engines, queries
-  // a writer invalidated retry per-key, and only still-conflicted
-  // leftovers take ONE shared-lock acquisition. emit(j, optional&&)
-  // receives every result (values are copies, valid indefinitely).
-  template <typename Emit>
-  void RunSubBatchOptimistic(const Shard& shard, const KeyType* keys,
-                             size_t m, Emit emit) const {
-    olc::EpochGuard epoch;
-    if (!epoch.pinned()) {
-      // Registry exhausted (256+ reader threads): locked path, copying
-      // out of the ptr-based emit protocol.
-      std::shared_lock lock(shard.mutex);
-      obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns
-                                          : nullptr);
-      std::vector<std::optional<ValueType>> vals(m);
-      LockedFindInto(shard.index, keys, m, vals.data());
-      for (size_t j = 0; j < m; ++j) emit(j, std::move(vals[j]));
-      return;
-    }
-    std::vector<std::optional<ValueType>> vals(m);
-    std::vector<uint32_t> failed;
-    if (UseGroupedDescent(m, OptimisticLevels(shard.index))) {
-      shard.index.FindBatchGroupedOptimistic(keys, m, vals.data(), &failed);
-    } else {
-      shard.index.FindBatchOptimistic(keys, m, vals.data(), &failed);
-    }
-    if (!failed.empty()) {
-      olc_metrics_.read_retries->Add(failed.size());
-      std::vector<uint32_t> leftovers;
-      for (const uint32_t idx : failed) {
-        bool ok = false;
-        for (int attempt = 1; attempt < olc::kMaxReadRetries; ++attempt) {
-          if (shard.index.FindOptimistic(keys[idx], &vals[idx]) ==
-              olc::ReadResult::kOk) {
-            ok = true;
-            break;
-          }
-          olc_metrics_.read_retries->Add();
-        }
-        if (!ok) leftovers.push_back(idx);
-      }
-      if (!leftovers.empty()) {
-        olc_metrics_.fallback_acquisitions->Add();
-        std::shared_lock lock(shard.mutex);
-        obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns
-                                            : nullptr);
-        for (const uint32_t idx : leftovers) {
-          vals[idx] = shard.index.Find(keys[idx]);
-        }
-      }
-    }
-    for (size_t j = 0; j < m; ++j) emit(j, std::move(vals[j]));
-  }
-
-  // Locked per-key lookups into an optional array (epoch-registry
-  // overflow path only — not performance-relevant).
-  static void LockedFindInto(const Index& index, const KeyType* keys,
-                             size_t m, std::optional<ValueType>* vals) {
-    for (size_t j = 0; j < m; ++j) vals[j] = index.Find(keys[j]);
-  }
-
-  // Optimistic scan of one shard with delivery-floor resume: conflicted
-  // attempts restart where the last validated leaf left off, so the
-  // callback never sees a pair twice, and after kMaxReadRetries the
-  // remainder of the range runs once under the shard's shared lock.
-  // Returns false (nothing delivered) only when no epoch slot was
-  // available.
-  template <typename Fn>
-  bool ScanShardOptimistic(const Shard& shard, KeyType lo, KeyType hi,
-                           Fn& fn, bool hi_inclusive) const {
-    olc::EpochGuard epoch;
-    if (!epoch.pinned()) return false;
-    KeyType resume = lo;
-    uint32_t skip = 0;
-    for (int attempt = 0; attempt < olc::kMaxReadRetries; ++attempt) {
-      if (shard.index.ScanRangeOptimistic(
-              hi, hi_inclusive, &resume, &skip,
-              [&fn](KeyType k, const ValueType& v) { fn(k, v); }) ==
-          olc::ReadResult::kOk) {
-        return true;
-      }
-      olc_metrics_.read_retries->Add();
-    }
-    olc_metrics_.fallback_acquisitions->Add();
-    std::shared_lock lock(shard.mutex);
-    uint32_t seen = 0;
-    shard.index.ScanRange(
-        resume, hi,
-        [&](KeyType k, const ValueType& v) {
-          // Skip the occurrences of the resume key already delivered.
-          if (k == resume && seen++ < skip) return;
-          fn(k, v);
-        },
-        hi_inclusive);
-    return true;
-  }
-
-  // Cold path for a sampled single-key read: stamps the owning shard id,
-  // measures that shard's lock wait separately from the descent, and
-  // routes through the index's FindTraced when it has one. Kept out of
-  // line of Find so the common path stays one sampling branch.
-  std::optional<ValueType> TracedFind(KeyType key) const {
-    obs::TraceScope scope;
-    const size_t s = ShardOf(key);
-    scope.trace()->shard = static_cast<uint16_t>(s);
-    const Shard& shard = *shards_[s];
-    std::optional<ValueType> result;
-    {
-      const uint64_t lock_start = CycleTimer::Now();
-      std::shared_lock lock(shard.mutex);
-      scope.trace()->lock_wait_ns = static_cast<uint64_t>(
-          CycleTimer::ToNanoseconds(CycleTimer::Now() - lock_start));
-      obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns
-                                          : nullptr);
-      result = core::TracedFindOne(shard.index, key, scope.trace());
-    }
-    scope.Finish();
-    return result;
+  // A sampled batch's trace: the traced descent of its first key.
+  static void TraceFirstKey(const Index& index, KeyType key,
+                            obs::DescentTrace* t) {
+    if (t == nullptr) return;
+    t->batched = 1;
+    index.FindTraced(key, t);
   }
 
   static constexpr size_t kDefaultShards = 8;
-  static constexpr size_t kMaxShards = 1u << 16;
+  // Shard ids must stay below obs::kTraceNoShard, the trace's "no
+  // shard" sentinel.
+  static constexpr size_t kMaxShards = 1u << 15;
+  static_assert(kMaxShards - 1 < obs::kTraceNoShard);
 
   struct Shard {
+    Shard() = default;
+    explicit Shard(Index moved) : index(std::move(moved)) {}
     mutable std::shared_mutex mutex;
     Index index;
   };

@@ -28,8 +28,8 @@
 //
 // Index-internal spans (shard_fanout, descent) are recorded through a
 // thread-local SpanCollector the server arms around FindBatch: the
-// wrappers (core/sharded.h, core/synchronized.h) mark their sub-phases
-// into it without knowing anything about the serving path. One
+// wrapper (core/sharded.h) marks its sub-phases into it without knowing
+// anything about the serving path. One
 // coalesced batch serves many wire requests; each retained request
 // carries a copy of the batch's fan-out/descent spans plus its
 // batch_keys size, which is the honest attribution — those cycles were

@@ -33,6 +33,7 @@
 #include "kary/kary_search.h"
 #include "kary/layout.h"
 #include "kary/linearize.h"
+#include "obs/trace.h"
 #include "simd/bitmask_eval.h"
 #include "simd/simd128.h"
 
@@ -110,10 +111,13 @@ class SegKeyStore {
         lin_, stored_, count_, v, counters);
   }
 
-  // Trace layout id (obs/trace.h kTraceLayoutBreadthFirst/DepthFirst).
+  // Trace layout id (obs/trace.h kTraceLayoutBreadthFirst/DepthFirst)
+  // and the tree family a trace of a tree over this store reports.
   uint8_t TraceLayoutId() const {
     return ctx_->layout_kind == kary::Layout::kBreadthFirst ? 1 : 2;
   }
+  static constexpr obs::TraceBackend kTraceBackend =
+      obs::TraceBackend::kSegTree;
 
   // Index of the first key >= v.
   int64_t LowerBound(Key v) const {

@@ -33,6 +33,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/descent_observer.h"
 #include "kary/kary_search.h"
 #include "kary/linearize.h"
 #include "mem/arena.h"
@@ -203,6 +204,42 @@ class CompactTrieNode {
     const int64_t pos = UpperBound(ctx, p);
     if (pos == 0 || PartialAt(ctx, pos - 1) != p) return -1;
     return pos - 1;
+  }
+
+  // FindPartial, counting comparisons: the fast paths cost no SIMD
+  // comparison (a single-key node costs one scalar one).
+  int64_t FindPartialCounted(const Context& ctx, Partial p,
+                             SearchCounters* counters) const {
+    const int64_t n = count();
+    if (n == 0) return -1;
+    if (n == 1) {
+      ++counters->scalar_comparisons;
+      return PartialAt(ctx, 0) == p ? 0 : -1;
+    }
+    if (n == ctx.domain_size) return static_cast<int64_t>(p);
+    const int64_t pos = UpperBoundCounted(ctx, p, counters);
+    if (pos == 0 || PartialAt(ctx, pos - 1) != p) return -1;
+    return pos - 1;
+  }
+
+  // FindPartial under a trie descent's observer (core/descent_observer.h).
+  // A node that the key's skipped segments already rule out (`on_path`
+  // false, path-compressed tries only) is visited but not searched. Trie
+  // nodes are not arena slots, so the trace's node ref is the block
+  // address's low 32 bits.
+  template <typename Observer>
+  int64_t FindPartial(const Context& ctx, Partial p, Observer& o,
+                      bool on_path = true) const {
+    return o.Search(
+        [&]() -> int64_t { return on_path ? FindPartial(ctx, p) : -1; },
+        [&](SearchCounters* c) -> int64_t {
+          return on_path ? FindPartialCounted(ctx, p, c) : -1;
+        },
+        [this] {
+          return descent::NodeInfo{
+              static_cast<uint32_t>(reinterpret_cast<uintptr_t>(this)),
+              obs::kTraceLayoutTrieNode, obs::kTraceSlabUnknown};
+        });
   }
 
   // --- mutation (may relocate the node; callers must store the result) ----

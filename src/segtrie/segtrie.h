@@ -49,7 +49,6 @@
 #include "segtrie/compact_node.h"
 #include "simd/bitmask_eval.h"
 #include "simd/simd128.h"
-#include "util/cycle_timer.h"
 
 namespace simdtree::segtrie {
 
@@ -233,20 +232,7 @@ class SegTrie {
   // --- lookup ----------------------------------------------------------------
 
   std::optional<Value> Find(Key key) const {
-    if (size_ == 0 || UpperBits(key, active_levels_) != prefix_bits_) {
-      return std::nullopt;
-    }
-    const void* node = root_;
-    for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
-      const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx = inner->FindPartial(ctx_, Segment(key, level));
-      if (idx < 0) return std::nullopt;  // terminate above leaf level
-      node = inner->EntryAt(idx);
-    }
-    const Leaf* leaf = static_cast<const Leaf*>(node);
-    const int64_t idx = leaf->FindPartial(ctx_, Segment(key, kLevels - 1));
-    if (idx < 0) return std::nullopt;
-    return leaf->EntryAt(idx);
+    return Find(key, descent::None{});
   }
 
   bool Contains(Key key) const { return Find(key).has_value(); }
@@ -382,69 +368,40 @@ class SegTrie {
   // SIMD comparisons for single-key and full nodes (fast paths), and
   // early termination above leaf level on a missing segment.
   std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
-    if (size_ == 0 || UpperBits(key, active_levels_) != prefix_bits_) {
-      return std::nullopt;
-    }
-    const void* node = root_;
-    for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
-      ++counters->nodes_visited;
-      const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx =
-          FindPartialCounted(inner, Segment(key, level), counters);
-      if (idx < 0) return std::nullopt;
-      node = inner->EntryAt(idx);
-    }
-    ++counters->nodes_visited;
-    const Leaf* leaf = static_cast<const Leaf*>(node);
-    const int64_t idx =
-        FindPartialCounted(leaf, Segment(key, kLevels - 1), counters);
-    if (idx < 0) return std::nullopt;
-    return leaf->EntryAt(idx);
+    return Find(key, descent::Counters{counters});
   }
 
   // Traced lookup (obs/trace.h): same result as Find, one level span
-  // per trie node searched. Trie nodes are compact heap blocks, not
-  // arena slots, so node_ref carries the block address's low 32 bits
-  // and arena_slab stays unknown; the layout id is the trie-node kind.
+  // per trie node searched; the layout id is the trie-node kind.
   std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
-    t->key = static_cast<uint64_t>(key);
-    t->backend = static_cast<uint8_t>(
-        options_.lazy_expansion ? obs::TraceBackend::kOptimizedSegTrie
-                                : obs::TraceBackend::kSegTrie);
+    return Find(key, descent::Trace{t});
+  }
+
+  // The trie's one single-key descent; the observer
+  // (core/descent_observer.h) decides what it records. A missing segment
+  // terminates the descent above leaf level.
+  template <typename Observer>
+  std::optional<Value> Find(Key key, Observer o) const {
+    o.Start(static_cast<uint64_t>(key),
+            options_.lazy_expansion ? obs::TraceBackend::kOptimizedSegTrie
+                                    : obs::TraceBackend::kSegTrie);
     std::optional<Value> result;
     if (size_ != 0 && UpperBits(key, active_levels_) == prefix_bits_) {
       const void* node = root_;
-      bool terminated = false;
-      for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
-        const uint64_t start = CycleTimer::Now();
+      int level = ActiveTopLevel();
+      for (; level < kLevels - 1; ++level) {
         const Inner* inner = static_cast<const Inner*>(node);
-        SearchCounters cmps;
-        const int64_t idx =
-            FindPartialCounted(inner, Segment(key, level), &cmps);
-        obs::AppendTraceLevel(t, TraceNodeRef(inner),
-                              obs::kTraceLayoutTrieNode,
-                              obs::kTraceSlabUnknown, cmps,
-                              CycleTimer::Now() - start);
-        if (idx < 0) {  // missing segment: terminate above leaf level
-          terminated = true;
-          break;
-        }
+        const int64_t idx = inner->FindPartial(ctx_, Segment(key, level), o);
+        if (idx < 0) break;
         node = inner->EntryAt(idx);
       }
-      if (!terminated) {
-        const uint64_t start = CycleTimer::Now();
+      if (level == kLevels - 1) {
         const Leaf* leaf = static_cast<const Leaf*>(node);
-        SearchCounters cmps;
-        const int64_t idx =
-            FindPartialCounted(leaf, Segment(key, kLevels - 1), &cmps);
-        obs::AppendTraceLevel(t, TraceNodeRef(leaf),
-                              obs::kTraceLayoutTrieNode,
-                              obs::kTraceSlabUnknown, cmps,
-                              CycleTimer::Now() - start);
+        const int64_t idx = leaf->FindPartial(ctx_, Segment(key, level), o);
         if (idx >= 0) result = leaf->EntryAt(idx);
       }
     }
-    t->found = result.has_value() ? 1 : 0;
+    o.Found(result.has_value());
     return result;
   }
 
@@ -521,12 +478,6 @@ class SegTrie {
 
   // First materialized level index (0 for the plain trie).
   int ActiveTopLevel() const { return kLevels - active_levels_; }
-
-  // Trace node reference for a heap-allocated compact node: the block
-  // address's low 32 bits (enough to correlate spans within one trace).
-  static uint32_t TraceNodeRef(const void* node) {
-    return static_cast<uint32_t>(reinterpret_cast<uintptr_t>(node));
-  }
 
   static Partial Segment(Key key, int level) {
     const int shift = (kLevels - 1 - level) * kSegmentBits;
@@ -697,7 +648,8 @@ class SegTrie {
         int64_t idx;
         if (counters != nullptr) {
           ++counters->nodes_visited;
-          idx = FindPartialCounted(inner, Segment(keys[i], level), counters);
+          idx = inner->FindPartialCounted(ctx_, Segment(keys[i], level),
+                                          counters);
         } else {
           idx = inner->FindPartial(ctx_, Segment(keys[i], level));
         }
@@ -718,8 +670,8 @@ class SegTrie {
       int64_t idx;
       if (counters != nullptr) {
         ++counters->nodes_visited;
-        idx = FindPartialCounted(leaf, Segment(keys[i], kLevels - 1),
-                                 counters);
+        idx = leaf->FindPartialCounted(ctx_, Segment(keys[i], kLevels - 1),
+                                       counters);
       } else {
         idx = leaf->FindPartial(ctx_, Segment(keys[i], kLevels - 1));
       }
@@ -749,26 +701,10 @@ class SegTrie {
                         SearchCounters* counters) const {
     if (counters == nullptr) return node->FindPartial(ctx_, partial);
     SearchCounters one;
-    const int64_t idx = FindPartialCounted(node, partial, &one);
+    const int64_t idx = node->FindPartialCounted(ctx_, partial, &one);
     counters->simd_comparisons += one.simd_comparisons * len;
     counters->scalar_comparisons += one.scalar_comparisons * len;
     return idx;
-  }
-
-  // FindPartial with SIMD-comparison accounting (fast paths cost none).
-  template <typename NodeT>
-  int64_t FindPartialCounted(const NodeT* node, Partial partial,
-                             SearchCounters* counters) const {
-    const int64_t n = node->count();
-    if (n == 0) return -1;
-    if (n == 1) {
-      ++counters->scalar_comparisons;
-      return node->PartialAt(ctx_, 0) == partial ? 0 : -1;
-    }
-    if (n == kDomain) return static_cast<int64_t>(partial);
-    const int64_t pos = node->UpperBoundCounted(ctx_, partial, counters);
-    if (pos == 0 || node->PartialAt(ctx_, pos - 1) != partial) return -1;
-    return pos - 1;
   }
 
   // Recursive bulk builder: keys[begin, end) share all segments above

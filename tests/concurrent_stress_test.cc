@@ -1,5 +1,5 @@
 // Multi-threaded differential stress suite for the concurrent wrappers
-// (ShardedIndex, SynchronizedIndex), designed to run under
+// (ShardedIndex with many shards and with one), designed to run under
 // ThreadSanitizer (the CI tsan job builds exactly this file plus
 // synchronized_test with -fsanitize=thread).
 //
@@ -33,7 +33,6 @@
 
 #include "btree/btree.h"
 #include "core/sharded.h"
-#include "core/synchronized.h"
 #include "gtest/gtest.h"
 #include "segtree/segtree.h"
 #include "segtrie/segtrie.h"
@@ -256,17 +255,17 @@ TEST(ConcurrentStressTest, ShardedTwoShardsContended) {
 }
 
 TEST(ConcurrentStressTest, SynchronizedSegTree) {
-  SynchronizedIndex<SegTree64> index;
+  ShardedIndex<SegTree64> index(1);
   RunStress(index, /*multimap=*/true);
-  EXPECT_TRUE(index.WithRead(
-      [](const SegTree64& tree) { return tree.Validate(); }));
+  EXPECT_TRUE(index.WithShardRead(
+      0, [](const SegTree64& tree) { return tree.Validate(); }));
 }
 
 TEST(ConcurrentStressTest, SynchronizedSegTrie) {
-  SynchronizedIndex<Trie64> index;
+  ShardedIndex<Trie64> index(1);
   RunStress(index, /*multimap=*/false);
-  EXPECT_TRUE(index.WithRead(
-      [](const Trie64& trie) { return trie.Validate(); }));
+  EXPECT_TRUE(index.WithShardRead(
+      0, [](const Trie64& trie) { return trie.Validate(); }));
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "btree/btree.h"
 #include "core/batch.h"
 #include "core/sharded.h"
-#include "core/synchronized.h"
 #include "gtest/gtest.h"
 #include "kary/batch_search.h"
 #include "kary/kary_array.h"
@@ -441,7 +440,7 @@ TEST(GroupedTrieTest, PlainSegTrie32) {
 template <typename Index>
 void CheckSynchronizedGrouped() {
   using Key = typename Index::KeyType;
-  SynchronizedIndex<Index> index;
+  ShardedIndex<Index> index(1);
   Rng rng(37);
   std::vector<Key> keys;
   for (int i = 0; i < 3000; ++i) {

@@ -30,7 +30,6 @@
 
 #include "btree/btree.h"
 #include "core/sharded.h"
-#include "core/synchronized.h"
 #include "gtest/gtest.h"
 #include "util/rng.h"
 
@@ -235,7 +234,7 @@ TEST(OlcStress, ShardedDifferential) {
 
 TEST(OlcStress, SynchronizedDifferential) {
   const int scale = StressScale();
-  SynchronizedIndex<Tree> index;
+  ShardedIndex<Tree> index(1);
   RunDifferential(index, /*rounds=*/2 * scale, /*ops_per_round=*/4000);
 }
 
@@ -245,7 +244,7 @@ TEST(OlcStress, SynchronizedDifferential) {
 // torn (non-self-certifying) value, a fault, or a TSan report.
 TEST(OlcStress, EpochReclamationChurn) {
   const int scale = StressScale();
-  SynchronizedIndex<Tree> index;
+  ShardedIndex<Tree> index(1);
   const std::vector<uint64_t> sentinels = MakeSentinels();
   for (uint64_t s : sentinels) index.Insert(s, ValueOf(s));
 

@@ -7,6 +7,7 @@
 
 #include "core/sharded.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "btree/btree.h"
-#include "core/synchronized.h"
 #include "gtest/gtest.h"
 #include "segtree/segtree.h"
 #include "segtrie/segtrie.h"
@@ -204,7 +204,7 @@ TEST(ShardedTest, FindBatchAllMissing) {
 
 TEST(ShardedTest, FindBatchLargerThanLockChunk) {
   // Batches well past the 256-key chunk that the locked FindBatch paths
-  // (SynchronizedIndex::FindBatch, ShardedIndex per-shard loop) process
+  // (ShardedIndex per-shard loop, one shard or many) process
   // per iteration: 1000 keys landing in one shard plus a 5000-key
   // all-shard batch.
   ShardedIndex<SegTree64> index(8);
@@ -246,7 +246,7 @@ TEST(ShardedTest, FindBatchLargerThanLockChunk) {
 }
 
 TEST(SynchronizedBatchEdgeTest, EmptyAllMissingAndPastChunk) {
-  SynchronizedIndex<SegTree64> index;
+  ShardedIndex<SegTree64> index(1);
   index.FindBatch(nullptr, 0, nullptr);  // n == 0: no-op
   for (uint64_t k = 0; k < 2000; ++k) index.Insert(k * 3, k);
   // All-missing batch.
@@ -335,6 +335,61 @@ TEST(ShardedTest, SingleShardDegeneratesToOneIndex) {
     ASSERT_EQ(out[i].value(), probes[i] / 2);
   }
   EXPECT_TRUE(index.Validate());
+}
+
+// An index built elsewhere (the CLI and examples load one from a blob)
+// moves in as the single shard and reads exactly like the source, with
+// lock-free reads armed unless the environment forces the shard locks.
+TEST(ShardedTest, MovedInIndexBecomesTheSingleShard) {
+  SegTree64 tree;
+  std::vector<uint64_t> keys;
+  Rng rng(19);
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t k = rng.Next() >> 1;
+    if (tree.Find(k).has_value()) continue;
+    tree.Insert(k, k ^ 0x5A5A);
+    keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end());
+
+  ShardedIndex<SegTree64> index(std::move(tree));
+  EXPECT_EQ(index.num_shards(), 1u);
+  EXPECT_TRUE(index.splitters().empty());
+  EXPECT_EQ(index.size(), keys.size());
+  EXPECT_TRUE(index.Validate());
+
+  // Hits and misses, one by one and as one batch past the grouped
+  // descent threshold.
+  std::vector<uint64_t> probes;
+  for (const uint64_t k : keys) {
+    probes.push_back(k);
+    probes.push_back(k | (uint64_t{1} << 63));  // never stored
+  }
+  std::vector<std::optional<uint64_t>> out(probes.size());
+  index.FindBatch(probes.data(), probes.size(), out.data());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const bool stored = i % 2 == 0;
+    ASSERT_EQ(out[i].has_value(), stored) << "i=" << i;
+    ASSERT_EQ(index.Find(probes[i]).has_value(), stored) << "i=" << i;
+    if (stored) {
+      ASSERT_EQ(*out[i], probes[i] ^ 0x5A5A);
+      ASSERT_EQ(*index.Find(probes[i]), probes[i] ^ 0x5A5A);
+    }
+  }
+
+  std::vector<uint64_t> scanned;
+  index.ScanRange(
+      0, std::numeric_limits<uint64_t>::max(),
+      [&scanned](uint64_t k, const uint64_t& v) {
+        EXPECT_EQ(v, k ^ 0x5A5A);
+        scanned.push_back(k);
+      },
+      /*hi_inclusive=*/true);
+  EXPECT_EQ(scanned, keys);
+
+  const bool armed = index.WithShardRead(
+      0, [](const SegTree64& t) { return t.concurrent_reads_enabled(); });
+  EXPECT_EQ(armed, mem::ArenaEnabled() && !olc::ForceShardLocks());
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// Concurrency tests for SynchronizedIndex: parallel readers against a
-// single writer, parallel writers, and snapshot-consistent scans.
+// Concurrency tests for the one-shard ShardedIndex (one reader/writer
+// lock around one index): parallel readers against a single writer,
+// parallel writers, and snapshot-consistent scans.
 //
 // Default iteration counts are sized for the fast tier-1 run
 // (`ctest -LE stress`); the ctest `stress` label re-runs this binary
 // with SIMDTREE_STRESS=1 for the 10x soak.
 
-#include "core/synchronized.h"
+#include "core/sharded.h"
 
 #include <atomic>
 #include <cstdint>
@@ -30,7 +31,7 @@ int StressScale() {
 }
 
 TEST(SynchronizedTest, SingleThreadBasics) {
-  SynchronizedIndex<segtree::SegTree<uint64_t, uint64_t>> index;
+  ShardedIndex<segtree::SegTree<uint64_t, uint64_t>> index(1);
   index.Insert(1, 10);
   index.Insert(2, 20);
   EXPECT_EQ(index.Find(1).value(), 10u);
@@ -42,13 +43,13 @@ TEST(SynchronizedTest, SingleThreadBasics) {
   uint64_t sum = 0;
   index.ScanRange(0, 100, [&sum](uint64_t k, const uint64_t&) { sum += k; });
   EXPECT_EQ(sum, 2u);
-  const size_t h = index.WithRead(
-      [](const auto& tree) { return static_cast<size_t>(tree.height()); });
+  const size_t h = index.WithShardRead(
+      0, [](const auto& tree) { return static_cast<size_t>(tree.height()); });
   EXPECT_EQ(h, 1u);
 }
 
 TEST(SynchronizedTest, ConcurrentReadersWithWriter) {
-  SynchronizedIndex<segtree::SegTree<uint64_t, uint64_t>> index;
+  ShardedIndex<segtree::SegTree<uint64_t, uint64_t>> index(1);
   for (uint64_t k = 0; k < 10000; ++k) index.Insert(k, k);
 
   std::atomic<bool> stop{false};
@@ -86,12 +87,12 @@ TEST(SynchronizedTest, ConcurrentReadersWithWriter) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(read_errors.load(), 0u);
   const bool valid =
-      index.WithRead([](const auto& tree) { return tree.Validate(); });
+      index.WithShardRead(0, [](const auto& tree) { return tree.Validate(); });
   EXPECT_TRUE(valid);
 }
 
 TEST(SynchronizedTest, ParallelWritersDisjointRanges) {
-  SynchronizedIndex<segtrie::SegTrie<uint64_t, uint64_t>> index;
+  ShardedIndex<segtrie::SegTrie<uint64_t, uint64_t>> index(1);
   constexpr int kThreads = 4;
   const uint64_t kPerThread = 20000 * static_cast<uint64_t>(StressScale());
   std::vector<std::thread> writers;
@@ -106,7 +107,7 @@ TEST(SynchronizedTest, ParallelWritersDisjointRanges) {
   for (auto& th : writers) th.join();
   EXPECT_EQ(index.size(), kThreads * kPerThread);
   const bool valid =
-      index.WithRead([](const auto& trie) { return trie.Validate(); });
+      index.WithShardRead(0, [](const auto& trie) { return trie.Validate(); });
   EXPECT_TRUE(valid);
   Rng rng(9);
   for (int i = 0; i < 2000; ++i) {
@@ -116,7 +117,7 @@ TEST(SynchronizedTest, ParallelWritersDisjointRanges) {
 }
 
 TEST(SynchronizedTest, MixedInsertEraseFromManyThreads) {
-  SynchronizedIndex<btree::BPlusTree<uint64_t, uint64_t>> index;
+  ShardedIndex<btree::BPlusTree<uint64_t, uint64_t>> index(1);
   constexpr int kThreads = 4;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
@@ -135,7 +136,7 @@ TEST(SynchronizedTest, MixedInsertEraseFromManyThreads) {
   }
   for (auto& th : workers) th.join();
   const bool valid =
-      index.WithRead([](const auto& tree) { return tree.Validate(); });
+      index.WithShardRead(0, [](const auto& tree) { return tree.Validate(); });
   EXPECT_TRUE(valid);
 }
 

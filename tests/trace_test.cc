@@ -18,13 +18,18 @@
 #include <thread>
 #include <vector>
 
-#include "core/synchronized.h"
+#include "btree/btree.h"
+#include "core/sharded.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "segtree/segtree.h"
+#include "segtrie/compressed_segtrie.h"
+#include "segtrie/segtrie.h"
+#include "util/counters.h"
+#include "util/rng.h"
 
 namespace simdtree {
 namespace {
@@ -337,7 +342,7 @@ TEST(ExportTest, TracezJsonCarriesFullPath) {
 
 TEST(TraceHookTest, SampledFindRecordsFullDescent) {
   using Tree = segtree::SegTree<uint64_t, uint64_t>;
-  SynchronizedIndex<Tree> index;
+  ShardedIndex<Tree> index(1);
   for (uint64_t k = 0; k < 50000; ++k) index.Insert(k * 2, k);
 
   Tracer::Global().Reset();
@@ -359,6 +364,106 @@ TEST(TraceHookTest, SampledFindRecordsFullDescent) {
   }
   EXPECT_EQ(traces[1].found, 0);
   EXPECT_EQ(traces[1].key, 1u);
+}
+
+// --- Find, FindCounted and FindTraced agree in every family -------------
+
+// One row per index family: the trace backend it reports, and whether
+// its descent can step into the previous leaf (the B+-tree family, whose
+// upper-bound navigation may land one past a key's last occurrence).
+template <typename I, obs::TraceBackend kB, bool kPrevLeaf>
+struct DescentCase {
+  using Index = I;
+  static constexpr obs::TraceBackend kBackend = kB;
+  static constexpr bool kStepsIntoPreviousLeaf = kPrevLeaf;
+};
+
+using DescentCases = ::testing::Types<
+    DescentCase<btree::BPlusTree<uint64_t, uint64_t>,
+                obs::TraceBackend::kBPlusTree, true>,
+    DescentCase<segtree::SegTree<uint64_t, uint64_t>,
+                obs::TraceBackend::kSegTree, true>,
+    DescentCase<segtrie::SegTrie<uint64_t, uint64_t>,
+                obs::TraceBackend::kSegTrie, false>,
+    DescentCase<segtrie::OptimizedSegTrie<uint64_t, uint64_t>,
+                obs::TraceBackend::kOptimizedSegTrie, false>,
+    DescentCase<segtrie::CompressedSegTrie<uint64_t, uint64_t>,
+                obs::TraceBackend::kCompressedSegTrie, false>>;
+
+template <typename Case>
+class DescentParityTest : public ::testing::Test {};
+TYPED_TEST_SUITE(DescentParityTest, DescentCases);
+
+template <typename Case>
+typename Case::Index MakeDescentIndex() {
+  // Small tree nodes: several levels and many leaf boundaries.
+  if constexpr (Case::kStepsIntoPreviousLeaf) {
+    return typename Case::Index(8);
+  } else {
+    return typename Case::Index();
+  }
+}
+
+TYPED_TEST(DescentParityTest, AllThreeDescentsAgree) {
+  using Case = TypeParam;
+  auto index = MakeDescentIndex<Case>();
+  std::vector<uint64_t> probes = {0, 1, ~uint64_t{0}};
+  auto check_all = [&](bool empty) {
+    size_t prev_leaf_steps = 0;
+    for (const uint64_t key : probes) {
+      const auto plain = index.Find(key);
+      SearchCounters counters;
+      const auto counted = index.FindCounted(key, &counters);
+      DescentTrace trace;
+      const auto traced = index.FindTraced(key, &trace);
+      ASSERT_EQ(counted, plain) << "key=" << key;
+      ASSERT_EQ(traced, plain) << "key=" << key;
+      EXPECT_EQ(trace.key, key);
+      EXPECT_EQ(trace.found, plain.has_value() ? 1 : 0) << "key=" << key;
+      if (empty) {
+        EXPECT_EQ(counters.nodes_visited, 0u);
+        EXPECT_EQ(trace.levels, 0);
+        continue;
+      }
+      EXPECT_EQ(trace.backend, static_cast<uint8_t>(Case::kBackend));
+      // Every node searched is one traced level; the B+-tree family
+      // also counts its unsearched step into the previous leaf.
+      const uint64_t levels = trace.levels;
+      if constexpr (Case::kStepsIntoPreviousLeaf) {
+        EXPECT_EQ(levels, static_cast<uint64_t>(index.height()));
+        ASSERT_GE(counters.nodes_visited, levels) << "key=" << key;
+        ASSERT_LE(counters.nodes_visited, levels + 1) << "key=" << key;
+        prev_leaf_steps += counters.nodes_visited - levels;
+      } else {
+        ASSERT_EQ(counters.nodes_visited, levels) << "key=" << key;
+      }
+    }
+    if constexpr (Case::kStepsIntoPreviousLeaf) {
+      if (!empty) EXPECT_GT(prev_leaf_steps, 0u);
+    }
+  };
+  check_all(/*empty=*/true);
+
+  // Shared-prefix clusters (deep trie paths, early trie misses) and
+  // full-width keys; every tenth key stored three times (duplicates in
+  // the multimap trees, overwrites in the tries).
+  Rng rng(41);
+  std::vector<uint64_t> stored;
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t k =
+        i % 2 == 0 ? rng.NextBounded(1 << 14) * 3 : rng.Next() | 1;
+    const int copies = i % 10 == 0 ? 3 : 1;
+    for (int c = 0; c < copies; ++c) index.Insert(k, k + c);
+    stored.push_back(k);
+    probes.push_back(k);      // hit
+    probes.push_back(k + 1);  // mostly misses, some neighbours' hits
+    probes.push_back(k ^ (uint64_t{1} << 40));
+  }
+  // Erasing keys leaves tree separators above the first key of their
+  // right-hand leaf, so probes for them land in the leaf after the one
+  // that would hold them: the previous-leaf step.
+  for (size_t i = 0; i < stored.size(); i += 5) index.Erase(stored[i]);
+  check_all(/*empty=*/false);
 }
 
 // --- stats server over a real socket --------------------------------------

@@ -424,7 +424,8 @@ int CmdStats(int argc, char** argv) {
 // Profiles the workload in argv[3] against the index in argv[2]: every
 // lookup is timed into an obs::LogHistogram, the whole run is measured
 // under an obs::PerfCounterGroup, and the index runs through the
-// instrumented SynchronizedIndex so its registry metrics populate too.
+// instrumented one-shard ShardedIndex so its registry metrics populate
+// too.
 int CmdProfile(int argc, char** argv) {
   if (argc < 4) return Usage();
   int passes = 3;
@@ -453,7 +454,7 @@ int CmdProfile(int argc, char** argv) {
     return 1;
   }
 
-  simdtree::SynchronizedIndex<Tree> index(std::move(*tree));
+  simdtree::ShardedIndex<Tree> index(std::move(*tree));
   index.EnableMetrics("cli.profile");
 
   simdtree::obs::LogHistogram latency;
@@ -590,7 +591,7 @@ int CmdServe(int argc, char** argv) {
   if (probes_path != nullptr && !ReadPairsFile(probes_path, &probes, &unused))
     return 1;
 
-  simdtree::SynchronizedIndex<Tree> index(std::move(*tree));
+  simdtree::ShardedIndex<Tree> index(std::move(*tree));
   index.EnableMetrics("cli.serve");
   simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
   if (slow_us >= 0) {
@@ -840,7 +841,7 @@ int CmdTracez(int argc, char** argv) {
   std::vector<uint64_t> probes, unused;
   if (!ReadPairsFile(argv[3], &probes, &unused)) return 1;
 
-  simdtree::SynchronizedIndex<Tree> index(std::move(*tree));
+  simdtree::ShardedIndex<Tree> index(std::move(*tree));
   simdtree::obs::Tracer::Global().Reset();
   simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
   if (slow_us >= 0) {
