@@ -1,34 +1,44 @@
-// Group software-pipelined B+-Tree descent — the batched-lookup engine
-// shared by the plain (binary-search) and Seg (SIMD k-ary) key stores.
+// Batched B+-Tree descents — the batched-lookup engines shared by the
+// plain (binary-search) and Seg (SIMD k-ary) key stores.
 //
-// A single root-to-leaf descent serializes one node miss per level: the
-// child pointer is not known until the current node's separators have
-// been searched, so an out-of-cache tree spends almost its whole lookup
-// stalled (paper Section 5.4: "the processor is mainly waiting for data
-// from main memory"). Level-wise batch traversal (after Tzschoppe et al.
-// and the BS-tree's data-parallel multi-query processing) converts that
-// latency into throughput: G independent queries descend in lockstep,
-// one level at a time, and every query's next node is prefetched before
-// any of them is searched. The G misses of a level then overlap in the
-// line fill buffers instead of arriving one at a time.
+// A single root-to-leaf descent serializes its cache misses: the child
+// reference is not known until the current node's separators have been
+// searched, and inside a node each k-ary level's key line is not known
+// until the level above it has been compared. An out-of-cache tree
+// therefore spends almost its whole lookup stalled (paper Section 5.4:
+// "the processor is mainly waiting for data from main memory"). Two
+// engines turn a batch's independent queries into memory parallelism:
 //
-// Every level runs two passes over the group:
+//   * the interleaved descent (FindBatch, LowerBoundBatch and the
+//     optimistic FindBatchOptimistic / FindBatchOptimisticOver) keeps a
+//     window of `group` queries in flight. Each query is a small state
+//     machine; one turn does one node hop or the in-node comparison
+//     steps on one key line (one k-ary level or binary-search probe;
+//     more only while they stay in the line just read, or in the first
+//     two breadth-first levels, which the hop prefetched together), then
+//     prefetches the line that query reads next — the next level's
+//     keys, the child reference, the child's header and first key
+//     lines, or the leaf's value — and yields to the next query. The
+//     window's misses are in flight together instead of one at a time,
+//     whatever node or level each query is on; a finished query's slot
+//     takes the next query at once. Queries may descend different trees
+//     of one type (FindBatchOptimisticOver: the shards of a
+//     ShardedIndex), each starting at its own tree's root;
+//   * the grouped (level-wise) descent (FindBatchGrouped and its
+//     lower-bound, traced and optimistic forms) sorts the batch once and
+//     visits each node once per batch — the winner once a batch is large
+//     against the tree depth (UseGroupedDescent, core/batch.h).
 //
-//   1. prefetch pass — each query's current node block arrived via the
-//      previous level's prefetch; touch it to prefetch the key-slot and
-//      child-ref lines of the block (keys and children live inline in
-//      the node's arena block, see generic_btree.h, but a wide node
-//      spans several cache lines);
-//   2. search pass — run the key store's UpperBound (scalar or SIMD; the
-//      store decides), decode the 32-bit child reference through the
-//      tree's node pool (a load from the small, hot slab table — the
-//      address is computable before the child is touched), and
-//      immediately prefetch the child's block for the next level.
+// Both engines read under one of two protocols: Plain, for callers that
+// hold the tree still (a shard lock, or a single thread), and — for the
+// interleaved and grouped Find — Optimistic, optimistic lock coupling
+// (generic_btree.h "optimistic reads"): node versions are validated
+// before a node's contents are trusted, and a query that cannot be
+// resolved on a consistent snapshot is reported to the caller instead.
+// Results are exactly those of per-key Find / FindOptimistic /
+// LowerBoundIter.
 //
-// All leaves of a B+-Tree sit at the same depth, so the lockstep never
-// diverges. Results are exactly those of per-key Find / LowerBoundIter.
-//
-// BatchDescent is a friend of GenericBPlusTree: the pipeline needs the
+// BatchDescent is a friend of GenericBPlusTree: the engines need the
 // node types, which stay private to the tree.
 
 #ifndef SIMDTREE_BTREE_BATCH_DESCENT_H_
@@ -37,6 +47,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -60,6 +71,12 @@ struct GroupedLevelStats {
   uint64_t cycles[obs::kMaxTraceLevels] = {};
 };
 
+// Read protocols of the batch engines: Plain trusts what it reads (the
+// caller keeps writers out), Optimistic validates node versions and
+// reports conflicted queries (the caller holds an olc::EpochGuard pin).
+struct Plain {};
+struct Optimistic {};
+
 template <typename Tree>
 class BatchDescent {
  public:
@@ -68,7 +85,8 @@ class BatchDescent {
   using Iterator = typename Tree::ConstIterator;
 
   // out[i] = pointer to the stored value of some occurrence of keys[i],
-  // or nullptr when absent — the batched form of Tree::Find. Pointers are
+  // or nullptr when absent — the batched form of Tree::Find, with
+  // `group` queries in flight (the interleaved descent). Pointers are
   // valid until the next mutation of the tree. A non-null `counters`
   // accumulates nodes_visited exactly as the per-key FindCounted would:
   // one per level of each descent, plus one when a query steps into the
@@ -76,16 +94,9 @@ class BatchDescent {
   static void FindBatch(const Tree& tree, const Key* keys, size_t n,
                         const Value** out, int group,
                         SearchCounters* counters = nullptr) {
-    group = ClampBatchGroup(group);
-    if (tree.root_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) out[i] = nullptr;
-      return;
-    }
-    for (size_t off = 0; off < n; off += static_cast<size_t>(group)) {
-      const int g = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(group), n - off));
-      FindGroup(tree, keys + off, g, out + off, counters);
-    }
+    const auto one = [&tree](uint32_t) { return &tree; };
+    Interleave<Plain, false>(one, keys, n, out, ClampBatchGroup(group),
+                             counters, nullptr);
   }
 
   // out[i] = iterator at the first pair with key >= keys[i] (invalid when
@@ -95,40 +106,41 @@ class BatchDescent {
   static void LowerBoundBatch(const Tree& tree, const Key* keys, size_t n,
                               Iterator* out, int group,
                               SearchCounters* counters = nullptr) {
-    group = ClampBatchGroup(group);
-    if (tree.root_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) out[i] = Iterator();
-      return;
-    }
-    for (size_t off = 0; off < n; off += static_cast<size_t>(group)) {
-      const int g = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(group), n - off));
-      LowerBoundGroup(tree, keys + off, g, out + off, counters);
-    }
+    const auto one = [&tree](uint32_t) { return &tree; };
+    Interleave<Plain, true>(one, keys, n, out, ClampBatchGroup(group),
+                            counters, nullptr);
   }
 
   // --- optimistic (lock-free) batch descents ------------------------------
   //
-  // Same pipelined / level-wise schedules as FindBatch / FindBatchGrouped,
-  // but over optimistic-lock-coupling version validation instead of a
-  // shard lock (see generic_btree.h "optimistic reads" and core/olc.h).
-  // Both are ONE attempt per query: out[i] is assigned for every query
-  // that resolved on a consistent snapshot; queries invalidated by a
-  // concurrent writer are appended to *failed (original index) with
-  // out[i] untouched, for the caller to retry per-key or under its lock.
-  // Values are copied out (not pointed to): a pointer into a node is
-  // only valid under a lock. Caller must hold an olc::EpochGuard pin.
+  // The interleaved and level-wise schedules over optimistic-lock-coupling
+  // version validation instead of a shard lock (see generic_btree.h
+  // "optimistic reads" and core/olc.h). Each is ONE attempt per query:
+  // out[i] is assigned for every query that resolved on a consistent
+  // snapshot; queries invalidated by a concurrent writer are appended to
+  // *failed (original index) with out[i] untouched, for the caller to
+  // retry per-key or under its lock. Values are copied out (not pointed
+  // to): a pointer into a node is only valid under a lock. Caller must
+  // hold an olc::EpochGuard pin.
 
   static void FindBatchOptimistic(const Tree& tree, const Key* keys, size_t n,
                                   std::optional<Value>* out,
                                   std::vector<uint32_t>* failed) {
+    const auto one = [&tree](uint32_t) { return &tree; };
+    FindBatchOptimisticOver(one, keys, n, out, failed);
+  }
+
+  // The same pass with each query on its own tree: query i descends
+  // *tree_of(i) from that tree's root, or is left out (out[i] untouched,
+  // not failed) when tree_of(i) is nullptr. One window interleaves every
+  // query of the batch, whichever tree it is on.
+  template <typename TreeOf>
+  static void FindBatchOptimisticOver(const TreeOf& tree_of, const Key* keys,
+                                      size_t n, std::optional<Value>* out,
+                                      std::vector<uint32_t>* failed) {
     olc::TsanIgnoreReadsScope tsan;
-    for (size_t off = 0; off < n; off += static_cast<size_t>(kMaxBatchGroup)) {
-      const int g = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(kMaxBatchGroup), n - off));
-      FindGroupOptimistic(tree, keys + off, g, out + off,
-                          static_cast<uint32_t>(off), failed);
-    }
+    Interleave<Optimistic, false>(tree_of, keys, n, out, kMaxInFlight,
+                                  nullptr, failed);
   }
 
   // Level-wise variant: sorts the batch once and validates each frontier
@@ -339,7 +351,7 @@ class BatchDescent {
         counters->nodes_visited += run.end - run.begin;
         ++counters->nodes_loaded;
       }
-      // Leaf resolution per query, identical to FindGroup; duplicate
+      // Leaf resolution per query, identical to Tree::FindLeafPos; duplicate
       // queries (adjacent after the sort) reuse the previous answer.
       bool prev_loaded = false;
       Key last_q{};
@@ -528,156 +540,345 @@ class BatchDescent {
     return q < first;
   }
 
-  // Pipelined lockstep descent of one group with per-query version
-  // coupling; failures are per-query (index base + i appended to
-  // *failed), survivors resolve exactly like FindGroup but copy the
-  // value out before the final leaf validation.
-  static void FindGroupOptimistic(const Tree& tree, const Key* keys, int g,
-                                  std::optional<Value>* out, uint32_t base,
-                                  std::vector<uint32_t>* failed) {
-    const NodeBase* cur[kMaxBatchGroup];
-    uint64_t ver[kMaxBatchGroup];
-    bool live[kMaxBatchGroup];
-    const auto fail_all = [&] {
-      for (int i = 0; i < g; ++i) failed->push_back(base + static_cast<uint32_t>(i));
-    };
-    const uint64_t vt = tree.tree_version_.ReadBegin();
-    if (!olc::VersionWord::IsStable(vt)) {
-      fail_all();
-      return;
-    }
-    const NodeBase* root = tree.root_;
-    if (!tree.tree_version_.Validate(vt)) {
-      fail_all();
-      return;
+  // --- interleaved descent --------------------------------------------------
+
+  using KeyStore = typename Tree::KeyStoreType;
+  using Cursor = typename KeyStore::Cursor;
+
+  // Window bound of the interleaved descent, and the window of the
+  // optimistic pass: twice the `group` bound, so a coalesced batch of a
+  // few dozen keys fits one window and no query waits for a free slot
+  // behind the others' dependent misses. FindBatch and LowerBoundBatch
+  // keep their `group` (at most kMaxBatchGroup).
+  static constexpr int kMaxInFlight = 2 * kMaxBatchGroup;
+
+  // Where an in-flight query resumes on its next turn.
+  enum class Turn : uint8_t {
+    kEnter,    // node header and first key lines (prefetched by the
+               // hop): begin the search, take its first steps
+    kStep,     // the next key line (prefetched): comparison steps
+    kHop,      // child reference (prefetched): descend to the child
+    kPrev,     // previous leaf's header (prefetched): its last pair
+    kResolve,  // leaf value line (prefetched): copy, validate, commit
+  };
+
+  // One in-flight query of the window.
+  struct Query {
+    const Tree* tree;
+    const NodeBase* node;
+    const KeyStore* keys;  // the node's key store
+    Cursor cur;            // in-node search state; cur.pos is the rank
+    uint64_t ver;          // node version at kEnter (Optimistic)
+    // Optimistic: the version that vouched for reaching `node` (the
+    // parent's, the previous leaf's successor's, or the tree's for the
+    // root), validated again once `node`'s own version is read.
+    const olc::VersionWord* guard;
+    uint64_t guard_ver;
+    Key key;               // search key: keys[id], or keys[id] - 1 for a
+                           // lower bound (one upper bound per node)
+    uint32_t id;
+    Turn turn;
+    uint8_t depth;         // nodes entered (Optimistic cycle backstop)
+    bool rank_zero;        // lower bound of the type minimum: rank 0
+  };
+
+  // Runs queries 0..n-1 through a window of `group` (at most
+  // kMaxInFlight) in-flight queries (see the file comment). Out is
+  // const Value* (Plain find), Iterator (lower bound) or
+  // std::optional<Value> (Optimistic find). The key store's comparison
+  // step is resolved once, here.
+  template <typename Protocol, bool kLower, typename TreeOf, typename Out>
+  static void Interleave(const TreeOf& tree_of, const Key* keys, size_t n,
+                         Out* out, int group, SearchCounters* counters,
+                         std::vector<uint32_t>* failed) {
+    if (n == 0) return;
+    const int window = std::min(group, kMaxInFlight);
+    KeyStore::WithCompareStep([&](const auto& step) {
+      Query q[kMaxInFlight];
+      size_t next = 0;
+      // Starts queries from `next` into `slot` until one is in flight
+      // (a query whose tree is empty, skipped or conflicted at the root
+      // finishes at once).
+      const auto admit = [&](Query& slot) {
+        while (next < n) {
+          if (Start<Protocol, kLower>(slot, tree_of, keys,
+                                      static_cast<uint32_t>(next++), out,
+                                      failed)) {
+            return true;
+          }
+        }
+        return false;
+      };
+      int live = 0;
+      while (live < window && admit(q[live])) ++live;
+      while (live > 0) {
+        for (int w = 0; w < live;) {
+          Query& s = q[w];
+          bool finished;
+          if (s.turn == Turn::kStep) {
+            // The common turn: the node's next key line, prefetched on
+            // the query's previous turn.
+            const Key* line = s.keys->StepUpperBound(s.key, &s.cur, step);
+            if (line != nullptr) {
+              Prefetch(line);
+              ++w;
+              continue;
+            }
+            finished = Searched<Protocol, kLower>(s, keys, out, counters,
+                                                  failed);
+          } else {
+            finished = Advance<Protocol, kLower>(s, keys, out, step, counters,
+                                                 failed);
+          }
+          if (!finished || admit(s)) {
+            ++w;
+          } else {
+            s = q[--live];
+          }
+        }
+      }
+    });
+  }
+
+  template <typename Protocol, bool kLower, typename TreeOf, typename Out>
+  static bool Start(Query& q, const TreeOf& tree_of, const Key* keys,
+                    uint32_t id, Out* out, std::vector<uint32_t>* failed) {
+    const Tree* tree = tree_of(id);
+    if (tree == nullptr) return false;
+    const NodeBase* root;
+    if constexpr (std::is_same_v<Protocol, Optimistic>) {
+      const uint64_t vt = tree->tree_version_.ReadBegin();
+      root = tree->root_;
+      if (!olc::VersionWord::IsStable(vt) ||
+          !tree->tree_version_.Validate(vt)) {
+        failed->push_back(id);
+        return false;
+      }
+      q.guard = &tree->tree_version_;
+      q.guard_ver = vt;
+    } else {
+      root = tree->root_;
     }
     if (root == nullptr) {
-      for (int i = 0; i < g; ++i) out[i] = std::nullopt;
-      return;
+      out[id] = Out{};
+      return false;
     }
-    const uint64_t vr = root->version.ReadBegin();
-    if (!olc::VersionWord::IsStable(vr)) {
-      fail_all();
-      return;
+    q.tree = tree;
+    q.node = root;
+    q.id = id;
+    q.turn = Turn::kEnter;
+    q.depth = 0;
+    q.key = keys[id];
+    q.rank_zero = false;
+    if constexpr (kLower) {
+      q.rank_zero = q.key == std::numeric_limits<Key>::min();
+      if (!q.rank_zero) --q.key;
     }
-    for (int i = 0; i < g; ++i) {
-      cur[i] = root;
-      ver[i] = vr;
-      live[i] = true;
-    }
-    const auto fail_one = [&](int i) {
-      live[i] = false;
-      failed->push_back(base + static_cast<uint32_t>(i));
-    };
-    const int64_t inner_cap = tree.inner_ctx_->capacity;
-    int depth = 0;
-    for (;;) {
-      bool any_inner = false;
-      for (int i = 0; i < g; ++i) {
-        if (live[i] && !cur[i]->is_leaf) {
-          any_inner = true;
-          break;
+    return true;
+  }
+
+  // A turn of q other than a comparison step; true when q is finished
+  // (answered or failed).
+  template <typename Protocol, bool kLower, typename Out, typename Step>
+  static bool Advance(Query& q, const Key* keys, Out* out, const Step& step,
+                      SearchCounters* counters,
+                      std::vector<uint32_t>* failed) {
+    constexpr bool kOpt = std::is_same_v<Protocol, Optimistic>;
+    switch (q.turn) {
+      case Turn::kEnter: {
+        // The hop prefetched the header together with the first key
+        // lines (the root is hot), so the node's first comparison steps
+        // run in this same turn.
+        if constexpr (kOpt) {
+          if (!EnterNode(q)) return Fail(q, failed);
         }
-      }
-      if (!any_inner) break;
-      if (++depth > kMaxOptimisticDepth) {
-        for (int i = 0; i < g; ++i) {
-          if (live[i]) fail_one(i);
+        if (counters != nullptr) ++counters->nodes_visited;
+        q.keys = q.node->is_leaf
+                     ? &static_cast<const LeafNode*>(q.node)->keys
+                     : &static_cast<const InnerNode*>(q.node)->keys;
+        if (q.rank_zero || q.keys->BeginUpperBound(&q.cur) == nullptr) {
+          q.cur.pos = 0;
+        } else if (const Key* line =
+                       q.keys->StepUpperBound(q.key, &q.cur, step)) {
+          Prefetch(line);
+          q.turn = Turn::kStep;
+          return false;
         }
-        return;
+        return Searched<Protocol, kLower>(q, keys, out, counters, failed);
       }
-      for (int i = 0; i < g; ++i) {
-        if (!live[i] || cur[i]->is_leaf) continue;
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        inner->keys.PrefetchKeys();
-        Prefetch(inner->children.data());
-      }
-      for (int i = 0; i < g; ++i) {
-        if (!live[i] || cur[i]->is_leaf) continue;
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        const int64_t idx = inner->keys.UpperBound(keys[i]);
-        if (idx < 0 || idx > inner_cap) {
-          fail_one(i);
-          continue;
-        }
+      case Turn::kHop: {
+        const Tree& tree = *q.tree;
+        const InnerNode* inner = static_cast<const InnerNode*>(q.node);
         const typename Tree::NodeRef ref =
-            inner->children[static_cast<size_t>(idx)];
-        if (!inner->version.Validate(ver[i])) {
-          fail_one(i);
-          continue;
+            inner->children[static_cast<size_t>(q.cur.pos)];
+        const NodeBase* child;
+        if constexpr (kOpt) {
+          // Validate the parent before decoding (FindOptimistic's rule):
+          // a validated ref is a real child ref of a consistent snapshot.
+          if (!inner->version.Validate(q.ver)) return Fail(q, failed);
+          child = tree.DecodeRefOptimistic(ref);
+          if (child == nullptr || ++q.depth > kMaxOptimisticDepth) {
+            return Fail(q, failed);
+          }
+          q.guard = &inner->version;
+          q.guard_ver = q.ver;
+        } else {
+          child = tree.DecodeRef(ref);
         }
-        const NodeBase* child = tree.DecodeRefOptimistic(ref);
-        if (child == nullptr) {
-          fail_one(i);
-          continue;
-        }
-        const uint64_t vc = child->version.ReadBegin();
-        if (!olc::VersionWord::IsStable(vc)) {
-          fail_one(i);
-          continue;
-        }
-        cur[i] = child;
-        ver[i] = vc;
+        // The child's header and, at a fixed block offset, the key lines
+        // its search reads first: all in flight before its kEnter.
+        const bool leaf = (ref & Tree::kLeafBit) != 0;
         Prefetch(child);
+        KeyStore::PrefetchTop(
+            reinterpret_cast<const Key*>(
+                reinterpret_cast<const char*>(child) +
+                (leaf ? tree.leaf_keys_off_ : tree.inner_keys_off_)),
+            (leaf ? tree.leaf_ctx_ : tree.inner_ctx_)->capacity);
+        q.node = child;
+        q.turn = Turn::kEnter;
+        return false;
       }
+      case Turn::kPrev:
+        if constexpr (!kLower) return PrevLeaf<Protocol>(q, keys, out, failed);
+        break;
+      case Turn::kResolve:
+        if constexpr (!kLower) return Resolve<Protocol>(q, keys, out, failed);
+        break;
+      case Turn::kStep:
+        break;
     }
-    // Leaf resolution with the FindOptimistic prev-leaf hop protocol.
-    const int64_t leaf_cap = tree.leaf_ctx_->capacity;
-    for (int i = 0; i < g; ++i) {
-      if (!live[i]) continue;
-      const LeafNode* leaf = static_cast<const LeafNode*>(cur[i]);
-      uint64_t v = ver[i];
-      int64_t pos = leaf->keys.UpperBound(keys[i]);
-      if (pos < 0 || pos > leaf_cap) {
-        fail_one(i);
-        continue;
+    return false;
+  }
+
+  // q stepped into the previous leaf (prefetched): its last pair is the
+  // candidate.
+  template <typename Protocol, typename Out>
+  static bool PrevLeaf(Query& q, const Key* keys, Out* out,
+                       std::vector<uint32_t>* failed) {
+    const LeafNode* prev = static_cast<const LeafNode*>(q.node);
+    if constexpr (std::is_same_v<Protocol, Optimistic>) {
+      if (!EnterNode(q)) return Fail(q, failed);
+      q.cur.pos = prev->keys.count();
+      if (q.cur.pos <= 0 || q.cur.pos > q.tree->leaf_ctx_->capacity) {
+        return Fail(q, failed);
+      }
+      Prefetch(&prev->values[static_cast<size_t>(q.cur.pos - 1)]);
+      q.turn = Turn::kResolve;
+      return false;
+    } else {
+      q.cur.pos = prev->keys.count();
+      return Resolve<Protocol>(q, keys, out, failed);
+    }
+  }
+
+  // q's in-node search is done: q.cur.pos is the node's rank for q.key.
+  template <typename Protocol, bool kLower, typename Out>
+  static bool Searched(Query& q, const Key* keys, Out* out,
+                       SearchCounters* counters,
+                       std::vector<uint32_t>* failed) {
+    constexpr bool kOpt = std::is_same_v<Protocol, Optimistic>;
+    const Tree& tree = *q.tree;
+    int64_t pos = q.cur.pos;
+    if (!q.node->is_leaf) {
+      if constexpr (kOpt) {
+        if (pos < 0 || pos > tree.inner_ctx_->capacity) {
+          return Fail(q, failed);  // torn count
+        }
+      }
+      Prefetch(static_cast<const InnerNode*>(q.node)->children.data() + pos);
+      q.turn = Turn::kHop;
+      return false;
+    }
+    const LeafNode* leaf = static_cast<const LeafNode*>(q.node);
+    if constexpr (kLower) {
+      // Leaf resolution, identical to Tree::LowerBoundIter.
+      if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
+        leaf = leaf->next;
+        if (leaf != nullptr && counters != nullptr) ++counters->nodes_visited;
+        pos = 0;
+      }
+      out[q.id] = leaf != nullptr ? Iterator(leaf, pos) : Iterator();
+      return true;
+    } else {
+      // Leaf resolution, identical to Tree::FindLeafPos: the upper-bound
+      // descent lands in the leaf holding the key's global upper bound;
+      // the occurrence, if any, sits just before it — possibly at the
+      // end of the previous leaf.
+      if constexpr (kOpt) {
+        if (pos < 0 || pos > tree.leaf_ctx_->capacity) return Fail(q, failed);
       }
       if (pos == 0) {
         const LeafNode* prev = leaf->prev;
-        if (!leaf->version.Validate(v)) {
-          fail_one(i);
-          continue;
+        if constexpr (kOpt) {
+          if (!leaf->version.Validate(q.ver)) return Fail(q, failed);
+          q.guard = &leaf->version;
+          q.guard_ver = q.ver;
         }
         if (prev == nullptr) {
-          out[i] = std::nullopt;
-          continue;
+          out[q.id] = Out{};
+          return true;
         }
-        const uint64_t vp = prev->version.ReadBegin();
-        if (!olc::VersionWord::IsStable(vp)) {
-          fail_one(i);
-          continue;
-        }
-        leaf = prev;
-        v = vp;
-        pos = leaf->keys.count();
-        if (pos <= 0 || pos > leaf_cap) {
-          fail_one(i);
-          continue;
-        }
+        if (counters != nullptr) ++counters->nodes_visited;
+        Prefetch(prev);
+        q.node = prev;
+        q.turn = Turn::kPrev;
+        return false;
       }
-      const Key found = leaf->keys.At(pos - 1);
+      Prefetch(&leaf->values[static_cast<size_t>(pos - 1)]);
+      if constexpr (kOpt) {
+        q.turn = Turn::kResolve;
+        return false;
+      } else {
+        return Resolve<Protocol>(q, keys, out, failed);
+      }
+    }
+  }
+
+  // Answers q from leaf q.node at upper-bound position q.cur.pos > 0. The
+  // Optimistic protocol copies the value out, proves a right-edge miss
+  // (RightEdgeMissProven), and validates the leaf before committing.
+  template <typename Protocol, typename Out>
+  static bool Resolve(Query& q, const Key* keys, Out* out,
+                      std::vector<uint32_t>* failed) {
+    const LeafNode* leaf = static_cast<const LeafNode*>(q.node);
+    const int64_t pos = q.cur.pos;
+    const Key key = keys[q.id];
+    const bool hit = leaf->keys.At(pos - 1) == key;
+    if constexpr (std::is_same_v<Protocol, Optimistic>) {
+      const int64_t leaf_cap = q.tree->leaf_ctx_->capacity;
       Value value{};
-      const bool hit = found == keys[i];
-      if (hit) value = leaf->values[static_cast<size_t>(pos - 1)];
-      if (!hit) {
+      if (hit) {
+        value = leaf->values[static_cast<size_t>(pos - 1)];
+      } else {
         const int64_t count = leaf->keys.count();
-        if (count < 0 || count > leaf_cap) {
-          fail_one(i);
-          continue;
-        }
+        if (count < 0 || count > leaf_cap) return Fail(q, failed);
         const LeafNode* next = leaf->next;
         if (pos == count && next != nullptr &&
-            !RightEdgeMissProven(next, keys[i], leaf_cap)) {
-          fail_one(i);
-          continue;
+            !RightEdgeMissProven(next, key, leaf_cap)) {
+          return Fail(q, failed);
         }
       }
-      if (!leaf->version.Validate(v)) {
-        fail_one(i);
-        continue;
-      }
-      out[i] = hit ? std::optional<Value>(std::move(value)) : std::nullopt;
+      if (!leaf->version.Validate(q.ver)) return Fail(q, failed);
+      out[q.id] = hit ? std::optional<Value>(std::move(value)) : std::nullopt;
+    } else {
+      out[q.id] = hit ? &leaf->values[static_cast<size_t>(pos - 1)] : nullptr;
     }
+    return true;
+  }
+
+  // Optimistic: reads q.node's version, then validates the version that
+  // routed q there. A turn or more passes between the two, so a writer
+  // can split, merge or rebalance the route in between; if the guard
+  // still holds, q.node's key range is the one the route promised.
+  static bool EnterNode(Query& q) {
+    q.ver = q.node->version.ReadBegin();
+    return olc::VersionWord::IsStable(q.ver) &&
+           q.guard->Validate(q.guard_ver);
+  }
+
+  static bool Fail(const Query& q, std::vector<uint32_t>* failed) {
+    failed->push_back(q.id);
+    return true;
   }
 
   static void RecordLevel(GroupedLevelStats* stats, size_t nodes,
@@ -715,8 +916,7 @@ class BatchDescent {
       for (size_t r = 0; r < runs.size(); ++r) {
         // Two-stage lookahead: the node struct at distance 2W, its key
         // storage (behind the store's internal pointer — readable once
-        // the struct line is hot) at distance W. Matches the per-node
-        // prefetch coverage of the pipelined DescendGroup passes.
+        // the struct line is hot) and child-ref array at distance W.
         if (r + 2 * kGroupedRunLookahead < runs.size()) {
           Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
         }
@@ -760,83 +960,6 @@ class BatchDescent {
     }
   }
 
-  // Descends the whole group to leaf level in lockstep. `upper` selects
-  // the in-node search (UpperBound for Find, LowerBound for the
-  // lower-bound iterator), applied uniformly at the branching levels.
-  template <bool kLower>
-  static void DescendGroup(const Tree& tree, const Key* keys, int g,
-                           const NodeBase** cur, SearchCounters* counters) {
-    for (int i = 0; i < g; ++i) cur[i] = tree.root_;
-    // One shared root read; all leaves sit at the same depth, so the
-    // group reaches leaf level together.
-    while (!cur[0]->is_leaf) {
-      if (counters != nullptr) counters->nodes_visited += g;
-      for (int i = 0; i < g; ++i) {
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        inner->keys.PrefetchKeys();
-        Prefetch(inner->children.data());
-      }
-      for (int i = 0; i < g; ++i) {
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        const int64_t idx = kLower ? inner->keys.LowerBound(keys[i])
-                                   : inner->keys.UpperBound(keys[i]);
-        const NodeBase* child =
-            tree.DecodeRef(inner->children[static_cast<size_t>(idx)]);
-        cur[i] = child;
-        Prefetch(child);
-      }
-    }
-    for (int i = 0; i < g; ++i) {
-      static_cast<const LeafNode*>(cur[i])->keys.PrefetchKeys();
-    }
-  }
-
-  static void FindGroup(const Tree& tree, const Key* keys, int g,
-                        const Value** out, SearchCounters* counters) {
-    const NodeBase* cur[kMaxBatchGroup];
-    DescendGroup<false>(tree, keys, g, cur, counters);
-    if (counters != nullptr) counters->nodes_visited += g;  // leaf level
-    // Leaf resolution, identical to Tree::FindLeafPos: the upper-bound
-    // descent lands in the leaf holding the key's global upper bound; the
-    // occurrence, if any, sits just before it — possibly at the end of
-    // the previous leaf.
-    for (int i = 0; i < g; ++i) {
-      const LeafNode* leaf = static_cast<const LeafNode*>(cur[i]);
-      int64_t pos = leaf->keys.UpperBound(keys[i]);
-      if (pos == 0) {
-        leaf = leaf->prev;
-        if (leaf == nullptr) {
-          out[i] = nullptr;
-          continue;
-        }
-        if (counters != nullptr) ++counters->nodes_visited;
-        pos = leaf->keys.count();
-      }
-      out[i] = leaf->keys.At(pos - 1) == keys[i]
-                   ? &leaf->values[static_cast<size_t>(pos - 1)]
-                   : nullptr;
-    }
-  }
-
-  static void LowerBoundGroup(const Tree& tree, const Key* keys, int g,
-                              Iterator* out, SearchCounters* counters) {
-    const NodeBase* cur[kMaxBatchGroup];
-    DescendGroup<true>(tree, keys, g, cur, counters);
-    if (counters != nullptr) counters->nodes_visited += g;  // leaf level
-    // Leaf resolution, identical to Tree::LowerBoundIter.
-    for (int i = 0; i < g; ++i) {
-      const LeafNode* leaf = static_cast<const LeafNode*>(cur[i]);
-      int64_t pos = leaf->keys.LowerBound(keys[i]);
-      if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
-        leaf = leaf->next;
-        if (leaf != nullptr && counters != nullptr) {
-          ++counters->nodes_visited;
-        }
-        pos = 0;
-      }
-      out[i] = leaf != nullptr ? Iterator(leaf, pos) : Iterator();
-    }
-  }
 };
 
 }  // namespace simdtree::btree

@@ -20,6 +20,9 @@
 //   int64_t count() / capacity();
 //   Key At(int64_t logical_pos);       // logical == sorted position
 //   int64_t UpperBound(Key) / LowerBound(Key);
+//   // resumable UpperBound for the interleaved batch descent:
+//   struct Cursor; static WithCompareStep(fn); static PrefetchTop(...);
+//   const Key* BeginUpperBound(Cursor*) / StepUpperBound(Key, Cursor*, step);
 //   void InsertAt(pos, Key) / RemoveAt(pos);
 //   void AssignSorted(const Key*, n) / Clear();
 //   void MoveSuffixTo(KeyStore& dst, from) / AppendFrom(KeyStore& src);
@@ -104,6 +107,7 @@ class GenericBPlusTree {
   using KeyType = Key;
   using ValueType = Value;
   using Context = typename KeyStore::Context;
+  using KeyStoreType = KeyStore;
 
   // Compressed node reference: a mem::NodePool slot with the top bit
   // distinguishing the leaf pool from the inner pool.
@@ -299,10 +303,11 @@ class GenericBPlusTree {
   }
 
   // Batched point lookup: out[i] = pointer to the stored value of some
-  // occurrence of keys[i], or nullptr when absent. Implemented with group
-  // software pipelining (batch_descent.h): `group` queries descend in
-  // lockstep one level at a time with each query's next node prefetched,
-  // overlapping the per-level cache misses that serialize in Find.
+  // occurrence of keys[i], or nullptr when absent. Implemented with the
+  // interleaved descent (batch_descent.h): `group` queries are in flight
+  // at once, each advancing one in-node comparison step or node hop per
+  // turn with the line it reads next prefetched, so the cache misses
+  // that serialize in Find overlap.
   // Pointers stay valid until the next mutation. A non-null `counters`
   // accumulates nodes_visited identically to summing FindCounted over
   // the batch.
@@ -315,8 +320,8 @@ class GenericBPlusTree {
 
   // Batched lower bound: out[i] = iterator at the first pair with
   // key >= keys[i] (invalid iterator when none), equal to
-  // LowerBoundIter(keys[i]) for every i, with the same pipelined descent
-  // as FindBatch.
+  // LowerBoundIter(keys[i]) for every i, with the same interleaved
+  // descent as FindBatch.
   void LowerBoundBatch(const Key* keys, size_t n, ConstIterator* out,
                        int group = kDefaultBatchGroup,
                        SearchCounters* counters = nullptr) const {
@@ -528,7 +533,7 @@ class GenericBPlusTree {
     return olc::ReadResult::kConflict;  // hop bound exceeded
   }
 
-  // Optimistic pipelined / grouped batch lookups (batch_descent.h).
+  // Optimistic interleaved / grouped batch lookups (batch_descent.h).
   // out[i] is written for every resolved query; conflicted query
   // indices are appended to *failed with out[i] untouched.
   void FindBatchOptimistic(const Key* keys, size_t n,
@@ -536,6 +541,16 @@ class GenericBPlusTree {
                            std::vector<uint32_t>* failed) const {
     BatchDescent<GenericBPlusTree>::FindBatchOptimistic(*this, keys, n, out,
                                                         failed);
+  }
+  // One optimistic interleaved pass with query i on tree *tree_of(i) (a
+  // pointer to a tree of this type, or nullptr to leave query i out):
+  // the whole batch shares one window whichever tree each query is on.
+  template <typename TreeOf>
+  static void FindBatchOptimisticOver(const TreeOf& tree_of, const Key* keys,
+                                      size_t n, std::optional<Value>* out,
+                                      std::vector<uint32_t>* failed) {
+    BatchDescent<GenericBPlusTree>::FindBatchOptimisticOver(tree_of, keys, n,
+                                                            out, failed);
   }
   void FindBatchGroupedOptimistic(const Key* keys, size_t n,
                                   std::optional<Value>* out,

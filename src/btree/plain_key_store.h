@@ -21,13 +21,25 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/batch.h"
 #include "kary/scalar_search.h"
 #include "obs/trace.h"
 
 namespace simdtree::btree {
 
+// Resumable upper-bound state of a plain store (see
+// PlainKeyStore::StepUpperBound): the open interval [pos, hi) of
+// candidate positions; pos is the answer once the search is done.
+struct PlainCursor {
+  int64_t pos;
+  int64_t hi;
+};
+
 // In-node scalar search algorithms (paper Section 1: "search strategies
-// range from sequential over binary to exploration search").
+// range from sequential over binary to exploration search"). Each also
+// has a resumable form: Step advances a PlainCursor and returns the key
+// the next Step reads first (nullptr once c->pos is the upper bound);
+// Probe is that key for a cursor.
 struct BinarySearchTag {
   static constexpr const char* kName = "binary";
   template <typename Key>
@@ -38,6 +50,28 @@ struct BinarySearchTag {
   static int64_t UpperBoundCounted(const Key* keys, int64_t n, Key v,
                                    SearchCounters* counters) {
     return kary::BinaryUpperBoundCounted(keys, n, v, counters);
+  }
+  // BinaryUpperBound's probes, up to the first one in another cache
+  // line than the probe before it; returns that probe, or nullptr once
+  // c->pos is the upper bound.
+  template <typename Key>
+  static const Key* Step(const Key* keys, PlainCursor* c, Key v) {
+    const Key* probe = Probe(keys, *c);
+    for (;;) {
+      if (*probe > v) {
+        c->hi = probe - keys;
+      } else {
+        c->pos = probe - keys + 1;
+      }
+      if (c->pos >= c->hi) return nullptr;
+      const Key* next = Probe(keys, *c);
+      if (!SameCacheLine(probe, next)) return next;
+      probe = next;
+    }
+  }
+  template <typename Key>
+  static const Key* Probe(const Key* keys, const PlainCursor& c) {
+    return keys + c.pos + (c.hi - c.pos) / 2;
   }
 };
 
@@ -51,6 +85,17 @@ struct SequentialSearchTag {
   static int64_t UpperBoundCounted(const Key* keys, int64_t n, Key v,
                                    SearchCounters* counters) {
     return kary::SequentialUpperBoundCounted(keys, n, v, counters);
+  }
+  // The whole scan in one step: it reads consecutive lines, which the
+  // hardware prefetcher already streams.
+  template <typename Key>
+  static const Key* Step(const Key* keys, PlainCursor* c, Key v) {
+    c->pos = kary::SequentialUpperBound(keys, c->hi, v);
+    return nullptr;
+  }
+  template <typename Key>
+  static const Key* Probe(const Key* keys, const PlainCursor&) {
+    return keys;
   }
 };
 
@@ -118,6 +163,32 @@ class PlainKeyStore {
   int64_t LowerBound(Key v) const {
     if (v == std::numeric_limits<Key>::min()) return 0;
     return UpperBound(static_cast<Key>(v - 1));
+  }
+
+  // Resumable UpperBound for the interleaved batch descent
+  // (btree/batch_descent.h), with SegKeyStore's contract: each
+  // StepUpperBound call takes the search tag's probes up to the first
+  // one in another cache line and returns that line (nullptr once done),
+  // and the answer equals UpperBound. The plain store has no SIMD step,
+  // so WithCompareStep passes an empty one. PrefetchTop fetches the
+  // tag's first probe of a full node over `storage`.
+  using Cursor = PlainCursor;
+  struct NoCompareStep {};
+  template <typename Fn>
+  static void WithCompareStep(Fn&& fn) {
+    fn(NoCompareStep{});
+  }
+  static void PrefetchTop(const Key* storage, int64_t capacity) {
+    PrefetchRead(SearchTag::Probe(storage, PlainCursor{0, capacity}));
+  }
+  const Key* BeginUpperBound(Cursor* c) const {
+    c->pos = 0;
+    c->hi = count_;
+    return c->hi <= 0 ? nullptr : SearchTag::Probe(keys_, *c);
+  }
+  template <typename Step>
+  const Key* StepUpperBound(Key v, Cursor* c, const Step&) const {
+    return SearchTag::Step(keys_, c, v);
   }
 
   void InsertAt(int64_t pos, Key k) {

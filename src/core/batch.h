@@ -1,11 +1,12 @@
 // Shared knobs for the batched-lookup subsystem.
 //
-// Every batched search in the library (kary/batch_search.h,
-// btree/batch_descent.h, the Seg-Trie's FindBatch) uses the same group
-// software-pipelining scheme: G independent queries advance in lockstep
-// one level at a time, and each query's next memory target is prefetched
-// before any of them is touched, so the G per-level misses overlap in
-// the memory system.
+// Every batched search in the library keeps G independent queries in
+// flight and prefetches each query's next memory target before it is
+// needed, so the G misses overlap in the memory system: the k-ary arrays
+// (kary/batch_search.h) and the Seg-Trie's FindBatch advance the group
+// in lockstep one level at a time; the B+-tree family
+// (btree/batch_descent.h) interleaves G per-query state machines, one
+// comparison step or node hop per turn.
 //
 // G trades memory-level parallelism against register pressure and
 // line-fill-buffer occupancy: one x86 core sustains roughly 10-16
@@ -25,8 +26,8 @@
 
 namespace simdtree {
 
-// Upper bound of the lockstep group size (fixed state-array dimension in
-// the pipelined search loops).
+// Upper bound of the `group` argument (fixed state-array dimension in
+// the batched search loops).
 inline constexpr int kMaxBatchGroup = 16;
 
 // Default in-flight group size.
@@ -41,6 +42,14 @@ inline constexpr int ClampBatchGroup(int group) {
 // to issue.
 inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0, 3); }
 
+// Whether two addresses share a 64-byte cache line. An in-node search
+// step that reads the line the previous step read cannot miss, so the
+// resumable searches (the key stores' StepUpperBound) take it at once.
+inline bool SameCacheLine(const void* a, const void* b) {
+  return reinterpret_cast<uintptr_t>(a) / 64 ==
+         reinterpret_cast<uintptr_t>(b) / 64;
+}
+
 // In-level lookahead distance for the grouped descent's run loops: while
 // run i's node is being searched, run i + kGroupedRunLookahead's node is
 // prefetched. The push-time child prefetch covers small frontiers, but
@@ -50,7 +59,7 @@ inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0, 3); }
 // sized) distance ahead of its consumer, restoring the overlap.
 inline constexpr size_t kGroupedRunLookahead = 8;
 
-// --- pipelined vs grouped descent crossover --------------------------------
+// --- per-query vs grouped descent crossover --------------------------------
 //
 // The grouped (level-wise) descent sorts the batch once and visits each
 // frontier node once, amortizing node loads across the queries routed to
@@ -59,11 +68,12 @@ inline constexpr size_t kGroupedRunLookahead = 8;
 // only share once n exceeds their node count. Empirically (see
 // bench/bb_batch_lookup and DESIGN.md "Batched traversal") the grouped
 // path wins once the batch carries roughly this many queries per level;
-// below it, the pipelined path's simplicity wins.
+// below it, the per-query (pipelined or interleaved) path's simplicity
+// wins.
 inline constexpr int kGroupedMinBatchPerLevel = 96;
 
 // Heuristic switch shared by the wrappers and the CLI: grouped descent
-// when the batch is deep enough to amortize, pipelined otherwise.
+// when the batch is deep enough to amortize, per-query otherwise.
 inline constexpr bool UseGroupedDescent(size_t n, int levels) {
   return levels > 0 &&
          n >= static_cast<size_t>(levels) *
@@ -95,14 +105,16 @@ concept HasGroupedFindBatch =
 // Whether the index exposes the optimistic-lock-coupling read paths
 // (generic_btree.h "optimistic reads"): the arming call plus the
 // version-validated single / batched / range reads the concurrency
-// wrappers route lock-free reads through.
+// wrapper routes lock-free reads through — among them the interleaved
+// pass whose queries each pick their own index (one per shard).
 template <typename Index, typename K, typename V>
 concept HasOptimisticReads =
     requires(Index& index, const Index& cindex, K key, size_t n,
-             std::optional<V>* out, std::vector<uint32_t>* failed) {
+             std::optional<V>* out, std::vector<uint32_t>* failed,
+             const Index* (*index_of)(uint32_t)) {
       { index.EnableConcurrentReads() } -> std::convertible_to<bool>;
       cindex.FindOptimistic(key, out);
-      cindex.FindBatchOptimistic(&key, n, out, failed);
+      Index::FindBatchOptimisticOver(index_of, &key, n, out, failed);
       cindex.FindBatchGroupedOptimistic(&key, n, out, failed);
       { cindex.height_hint() } -> std::convertible_to<int>;
     };

@@ -30,20 +30,23 @@
 // ScanRange stitches results across shard boundaries: shards are
 // visited in key order and each shard only stores keys of its own
 // range, so the callback still observes keys in globally ascending
-// order. FindBatch is shard-aware: the query batch is partitioned by
-// shard (skipped when there is one), each shard's keys run through the
-// index's grouped or group-pipelined batch descent, and results scatter
-// back to the caller's order.
+// order. FindBatch is one memory-parallel pass over the whole batch:
+// the index's interleaved descent (btree/batch_descent.h) starts each
+// key at its own shard's root, so the misses of keys on different
+// shards overlap in one window. Only a shard whose slice is large
+// enough for the grouped (level-wise) descent has its keys gathered
+// and the values scattered back; a one-key batch is a Find.
 //
-// The read ladder. Every read of a shard — Find/Contains, a FindBatch
-// sub-batch, a ScanRange piece — climbs the same ladder (ReadShard):
+// The read ladder. Every read — Find/Contains and a ScanRange piece on
+// one shard (ReadShard), a whole FindBatch (OptimisticBatch, then
+// RetryFailed) — climbs the same ladder:
 //   1. when the index supports optimistic lock coupling (the B+-trees
 //      with trivially copyable payloads in arena mode, generic_btree.h),
 //      pin a reclamation epoch (core/olc.h) and descend WITHOUT the
-//      shard lock, validating per-node versions;
-//   2. retry what a writer invalidated, up to olc::kMaxReadRetries
-//      attempts in all;
-//   3. take the shard's shared lock once for whatever is left.
+//      shard locks, validating per-node versions;
+//   2. retry what a writer invalidated, key by key, up to
+//      olc::kMaxReadRetries attempts in all;
+//   3. take a shard's shared lock once for whatever is left on it.
 // Bounding the retries is also the writer-starvation fix: glibc's rwlock
 // is reader-preferring, and with OLC readers rarely touch it, so writers
 // acquire the exclusive lock promptly. A sampled trace (obs/trace.h)
@@ -205,27 +208,7 @@ class ShardedIndex {
 
   std::optional<ValueType> Find(KeyType key) const {
     if (metrics_) metrics_->reads->Add();
-    const size_t s = ShardOf(key);
-    std::optional<ValueType> out;
-    auto read = [&](obs::DescentTrace* t) {
-      ReadShard(
-          s, t,
-          [&](const auto& index) -> size_t {
-            return index.FindOptimistic(key, &out) == olc::ReadResult::kOk
-                       ? 0
-                       : 1;
-          },
-          [&](const Index& index, obs::DescentTrace* trace) {
-            out = trace != nullptr ? index.FindTraced(key, trace)
-                                   : index.Find(key);
-          });
-    };
-    if (obs::TraceShouldSample()) [[unlikely]] {
-      Traced(s, read);
-    } else {
-      read(nullptr);
-    }
-    return out;
+    return FindIn(ShardOf(key), key, /*batched=*/false);
   }
 
   bool Contains(KeyType key) const { return Find(key).has_value(); }
@@ -239,10 +222,13 @@ class ShardedIndex {
     return total;
   }
 
-  // Batched point lookup: out[i] = value of keys[i] or nullopt. Each
-  // shard's keys climb the read ladder as one sub-batch; values are
-  // copies, so the results stay valid after concurrent writers proceed.
-  // A sampled batch records one trace, attributed to its first key.
+  // Batched point lookup: out[i] = value of keys[i] or nullopt. Values
+  // are copies, so the results stay valid after concurrent writers
+  // proceed. One key costs what Find costs. With lock-free reads armed,
+  // one optimistic pass under one epoch pin serves the whole batch
+  // (OptimisticBatch); otherwise, and for a sampled batch, each shard's
+  // slice is read under its shared lock (LockedBatch). A sampled batch
+  // records one trace, attributed to its first key.
   void FindBatch(const KeyType* keys, size_t n,
                  std::optional<ValueType>* out) const {
     if (n == 0) return;
@@ -251,22 +237,38 @@ class ShardedIndex {
       metrics_->batch_keys->Add(n);
       metrics_->batch_size->Record(n);
     }
-    auto read = [&](obs::DescentTrace* t) {
-      if (shards_.size() == 1) {
-        if (metrics_) metrics_->shard_imbalance->Set(1.0);
-        // Request-span hook (obs/request_trace.h): with no fan-out, the
-        // whole batch is one descent span.
-        obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-        ReadShardBatch(0, keys, n, out, t);
-      } else {
-        FanOutBatch(keys, n, out, t);
+    if (n == 1) {
+      // Request-span hooks (obs/request_trace.h), as for any batch: the
+      // shard choice is the fan-out, the lookup is the descent.
+      size_t s = 0;
+      if (shards_.size() > 1) {
+        obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
+        s = ShardOf(keys[0]);
       }
-    };
-    if (obs::TraceShouldSample()) [[unlikely]] {
-      Traced(ShardOf(keys[0]), read);
-    } else {
-      read(nullptr);
+      if (metrics_) {
+        metrics_->shard_imbalance->Set(static_cast<double>(shards_.size()));
+      }
+      obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+      out[0] = FindIn(s, keys[0], /*batched=*/true);
+      return;
     }
+    if (obs::TraceShouldSample()) [[unlikely]] {
+      auto read = [&](obs::DescentTrace* t) { LockedBatch(keys, n, out, t); };
+      Traced(ShardOf(keys[0]), read);
+      return;
+    }
+    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
+      if (olc_enabled_) {
+        olc::EpochGuard epoch;
+        // An exhausted epoch registry (256+ reader threads) sends the
+        // batch to the locks without counting a fallback.
+        if (epoch.pinned()) {
+          OptimisticBatch(keys, n, out);
+          return;
+        }
+      }
+    }
+    LockedBatch(keys, n, out, nullptr);
   }
 
   // Merged arena occupancy across all shards (all-zero when the index
@@ -393,6 +395,35 @@ class ShardedIndex {
     scope.Finish();
   }
 
+  // Find's body: the read ladder of shard s for one key. A one-key
+  // FindBatch marks its trace as batched.
+  std::optional<ValueType> FindIn(size_t s, KeyType key, bool batched) const {
+    std::optional<ValueType> out;
+    auto read = [&](obs::DescentTrace* t) {
+      ReadShard(
+          s, t,
+          [&](const auto& index) -> size_t {
+            return index.FindOptimistic(key, &out) == olc::ReadResult::kOk
+                       ? 0
+                       : 1;
+          },
+          [&](const Index& index, obs::DescentTrace* trace) {
+            if (trace == nullptr) {
+              out = index.Find(key);
+              return;
+            }
+            trace->batched = batched ? 1 : 0;
+            out = index.FindTraced(key, trace);
+          });
+    };
+    if (obs::TraceShouldSample()) [[unlikely]] {
+      Traced(s, read);
+    } else {
+      read(nullptr);
+    }
+    return out;
+  }
+
   // The read ladder of shard s (see the class comment). attempt(index)
   // makes one optimistic pass and returns how many of its reads a
   // writer invalidated; locked(index, t) finishes the read under the
@@ -401,7 +432,6 @@ class ShardedIndex {
   template <typename Attempt, typename Locked>
   void ReadShard(size_t s, obs::DescentTrace* t, Attempt attempt,
                  Locked locked) const {
-    const Shard& shard = *shards_[s];
     if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
       if (olc_enabled_ && t == nullptr) {
         olc::EpochGuard epoch;
@@ -409,7 +439,7 @@ class ShardedIndex {
         // read to the lock without counting a fallback.
         if (epoch.pinned()) {
           for (int i = 0; i < olc::kMaxReadRetries; ++i) {
-            const size_t conflicted = attempt(shard.index);
+            const size_t conflicted = attempt(shards_[s]->index);
             if (conflicted == 0) return;
             olc_metrics_.read_retries->Add(conflicted);
           }
@@ -417,6 +447,14 @@ class ShardedIndex {
         }
       }
     }
+    LockedRead(s, t, locked);
+  }
+
+  // Rung 3: locked(index, t) under shard s's shared lock, recording the
+  // lock wait into a sampled trace and the hold time into the metrics.
+  template <typename Locked>
+  void LockedRead(size_t s, obs::DescentTrace* t, Locked& locked) const {
+    const Shard& shard = *shards_[s];
     const uint64_t lock_start = t != nullptr ? CycleTimer::Now() : 0;
     std::shared_lock lock(shard.mutex);
     if (t != nullptr) {
@@ -427,98 +465,197 @@ class ShardedIndex {
     locked(shard.index, t);
   }
 
-  // FindBatch over several shards: partition the batch by shard
-  // (counting sort on shard id, keeping caller order within a shard),
-  // run each sub-batch up its shard's read ladder, and scatter the
-  // values back to caller order. `t` traces the first key's shard.
-  void FanOutBatch(const KeyType* keys, size_t n,
-                   std::optional<ValueType>* out,
-                   obs::DescentTrace* t) const {
+  // Shard of every key (*shard_of) and the key count per shard
+  // (*count), publishing the batch's imbalance when metrics are on: the
+  // largest shard's count relative to a perfectly even split (1.0 =
+  // balanced, num_shards = everything on one shard).
+  void CountShards(const KeyType* keys, size_t n,
+                   std::vector<uint32_t>* shard_of,
+                   std::vector<size_t>* count) const {
     const size_t num = shards_.size();
-    // Request-span hook: the partition is the shard_fanout span; the
-    // per-shard descents and the scatter back are the descent span.
-    obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
-    std::vector<uint32_t> shard_of(n);
-    std::vector<size_t> start(num + 1, 0);
+    shard_of->resize(n);
+    count->assign(num, 0);
     for (size_t i = 0; i < n; ++i) {
       const size_t s = ShardOf(keys[i]);
-      shard_of[i] = static_cast<uint32_t>(s);
-      ++start[s + 1];
+      (*shard_of)[i] = static_cast<uint32_t>(s);
+      ++(*count)[s];
     }
-    for (size_t s = 0; s < num; ++s) start[s + 1] += start[s];
     if (metrics_) {
-      // Imbalance of this batch across shards: the largest shard's key
-      // count relative to a perfectly even split (1.0 = balanced,
-      // num_shards = everything on one shard).
-      size_t max_count = 0;
-      for (size_t s = 0; s < num; ++s) {
-        max_count = std::max(max_count, start[s + 1] - start[s]);
-      }
+      const size_t max_count = *std::max_element(count->begin(), count->end());
       metrics_->shard_imbalance->Set(static_cast<double>(max_count * num) /
                                      static_cast<double>(n));
     }
-    std::vector<KeyType> skeys(n);
-    std::vector<size_t> spos(n);
+  }
+
+  // FindBatch's optimistic rungs; the caller holds the epoch pin. One
+  // interleaved pass (btree/batch_descent.h) runs the whole batch, each
+  // key starting at its own shard's root — except that a shard whose
+  // slice clears UseGroupedDescent serves its slice with its grouped
+  // engine, the one case that partitions the batch and scatters back.
+  // Keys either pass could not resolve climb the rest of the ladder
+  // (RetryFailed).
+  void OptimisticBatch(const KeyType* keys, size_t n,
+                       std::optional<ValueType>* out) const {
+    const size_t num = shards_.size();
+    std::vector<uint32_t> failed;
+    if (num == 1) {
+      if (metrics_) metrics_->shard_imbalance->Set(1.0);
+      obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+      const Index& index = shards_[0]->index;
+      if (UseGroupedDescent(n, OptimisticLevels(index))) {
+        index.FindBatchGroupedOptimistic(keys, n, out, &failed);
+      } else {
+        Index::FindBatchOptimisticOver([&](uint32_t) { return &index; },
+                                       keys, n, out, &failed);
+      }
+      RetryFailed(keys, out, &failed);
+      return;
+    }
+    // Shard ids are only materialized when the batch is large enough
+    // for a slice to clear the grouped threshold (or the imbalance gauge
+    // wants counts); otherwise each key's shard is chosen as it starts.
+    std::vector<uint32_t> shard_of;
+    std::vector<uint8_t> grouped;  // per shard; empty when none is
+    {
+      obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
+      if (metrics_ || n >= kGroupedMinBatchPerLevel) {
+        std::vector<size_t> count;
+        CountShards(keys, n, &shard_of, &count);
+        for (size_t s = 0; s < num; ++s) {
+          if (UseGroupedDescent(count[s],
+                                OptimisticLevels(shards_[s]->index))) {
+            grouped.resize(num, 0);
+            grouped[s] = 1;
+          }
+        }
+      }
+    }
+    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+    if (!grouped.empty()) {
+      ForEachSlice(
+          keys, n, shard_of, [&](size_t s) { return grouped[s] != 0; }, out,
+          [&](size_t s, const KeyType* skeys, size_t m,
+              std::optional<ValueType>* vals, const uint32_t* pos) {
+            std::vector<uint32_t> conflicted;
+            shards_[s]->index.FindBatchGroupedOptimistic(skeys, m, vals,
+                                                         &conflicted);
+            for (const uint32_t j : conflicted) failed.push_back(pos[j]);
+          });
+    }
+    Index::FindBatchOptimisticOver(
+        [&](uint32_t i) -> const Index* {
+          const size_t s = shard_of.empty() ? ShardOf(keys[i]) : shard_of[i];
+          return !grouped.empty() && grouped[s] != 0 ? nullptr
+                                                     : &shards_[s]->index;
+        },
+        keys, n, out, &failed);
+    RetryFailed(keys, out, &failed);
+  }
+
+  // Runs fn(s, slice_keys, m, slice_vals, pos) for every shard s with
+  // take(s) and keys in the batch: the shard's keys in caller order (a
+  // counting sort on shard_of), pos[j] the batch index of slice key j.
+  // The slices' values then scatter back to out.
+  template <typename Take, typename Fn>
+  void ForEachSlice(const KeyType* keys, size_t n,
+                    const std::vector<uint32_t>& shard_of, Take take,
+                    std::optional<ValueType>* out, Fn fn) const {
+    const size_t num = shards_.size();
+    std::vector<size_t> start(num + 1, 0);
+    for (size_t i = 0; i < n; ++i) {
+      if (take(shard_of[i])) ++start[shard_of[i] + 1];
+    }
+    for (size_t s = 0; s < num; ++s) start[s + 1] += start[s];
+    std::vector<KeyType> skeys(start[num]);
+    std::vector<uint32_t> spos(start[num]);
     {
       std::vector<size_t> fill(start.begin(), start.end() - 1);
       for (size_t i = 0; i < n; ++i) {
+        if (!take(shard_of[i])) continue;
         const size_t at = fill[shard_of[i]]++;
         skeys[at] = keys[i];
-        spos[at] = i;
+        spos[at] = static_cast<uint32_t>(i);
       }
     }
-    fanout_span.Finish();
-    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-    std::vector<std::optional<ValueType>> vals(n);
+    std::vector<std::optional<ValueType>> vals(start[num]);
     for (size_t s = 0; s < num; ++s) {
       const size_t lo = start[s], hi = start[s + 1];
       if (lo == hi) continue;
-      ReadShardBatch(s, skeys.data() + lo, hi - lo, vals.data() + lo,
-                     s == shard_of[0] ? t : nullptr);
+      fn(s, skeys.data() + lo, hi - lo, vals.data() + lo, spos.data() + lo);
     }
-    for (size_t i = 0; i < n; ++i) out[spos[i]] = std::move(vals[i]);
+    for (size_t j = 0; j < spos.size(); ++j) out[spos[j]] = std::move(vals[j]);
   }
 
-  // One shard's sub-batch up the read ladder. The first optimistic pass
-  // runs the whole sub-batch through the grouped or pipelined optimistic
-  // engine; later passes retry the keys a writer invalidated one by one.
-  // The locked rung resolves what is left: the keys still conflicted,
-  // or the whole sub-batch when no optimistic pass ran.
-  void ReadShardBatch(size_t s, const KeyType* keys, size_t m,
-                      std::optional<ValueType>* vals,
-                      obs::DescentTrace* t) const {
-    std::vector<uint32_t> failed;
-    bool attempted = false;
-    ReadShard(
-        s, t,
-        [&](const auto& index) -> size_t {
-          if (!attempted) {
-            attempted = true;
-            if (UseGroupedDescent(m, OptimisticLevels(index))) {
-              index.FindBatchGroupedOptimistic(keys, m, vals, &failed);
-            } else {
-              index.FindBatchOptimistic(keys, m, vals, &failed);
-            }
-          } else {
-            std::erase_if(failed, [&](uint32_t i) {
-              return index.FindOptimistic(keys[i], &vals[i]) ==
-                     olc::ReadResult::kOk;
-            });
-          }
-          return failed.size();
-        },
-        [&](const Index& index, obs::DescentTrace* trace) {
-          if (!attempted) {
-            FindLocked(index, keys, m, vals, trace);
-            return;
-          }
-          for (const uint32_t i : failed) vals[i] = index.Find(keys[i]);
+  // Rungs 2 and 3 for the batch keys the optimistic pass left in
+  // *failed: per-key optimistic retries, up to olc::kMaxReadRetries
+  // attempts in all, then one shared lock per shard that still has keys.
+  void RetryFailed(const KeyType* keys, std::optional<ValueType>* out,
+                   std::vector<uint32_t>* failed) const {
+    if (failed->empty()) return;
+    olc_metrics_.read_retries->Add(failed->size());
+    for (int i = 1; i < olc::kMaxReadRetries; ++i) {
+      std::erase_if(*failed, [&](uint32_t j) {
+        return shards_[ShardOf(keys[j])]->index.FindOptimistic(
+                   keys[j], &out[j]) == olc::ReadResult::kOk;
+      });
+      if (failed->empty()) return;
+      olc_metrics_.read_retries->Add(failed->size());
+    }
+    const auto shard = [&](uint32_t j) { return ShardOf(keys[j]); };
+    std::sort(failed->begin(), failed->end(),
+              [&](uint32_t x, uint32_t y) { return shard(x) < shard(y); });
+    for (auto lo = failed->begin(); lo != failed->end();) {
+      const size_t s = shard(*lo);
+      const auto hi = std::find_if(lo, failed->end(),
+                                   [&](uint32_t j) { return shard(j) != s; });
+      olc_metrics_.fallback_acquisitions->Add();
+      auto locked = [&](const Index& index, obs::DescentTrace*) {
+        for (auto it = lo; it != hi; ++it) out[*it] = index.Find(keys[*it]);
+      };
+      LockedRead(s, nullptr, locked);
+      lo = hi;
+    }
+  }
+
+  // FindBatch under the shard locks: each shard's slice of the batch
+  // (ForEachSlice; the whole batch when there is one shard) is looked
+  // up under its shard's shared lock (FindLocked). `t` traces the first
+  // key's shard.
+  void LockedBatch(const KeyType* keys, size_t n,
+                   std::optional<ValueType>* out,
+                   obs::DescentTrace* t) const {
+    if (shards_.size() == 1) {
+      if (metrics_) metrics_->shard_imbalance->Set(1.0);
+      obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+      auto locked = [&](const Index& index, obs::DescentTrace* trace) {
+        FindLocked(index, keys, n, out, trace);
+      };
+      LockedRead(0, t, locked);
+      return;
+    }
+    // Request-span hooks: counting keys per shard is the shard_fanout
+    // span; the slices' descents and the scatter back are the descent.
+    std::vector<uint32_t> shard_of;
+    {
+      obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
+      std::vector<size_t> count;
+      CountShards(keys, n, &shard_of, &count);
+    }
+    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+    ForEachSlice(
+        keys, n, shard_of, [](size_t) { return true; }, out,
+        [&](size_t s, const KeyType* skeys, size_t m,
+            std::optional<ValueType>* vals, const uint32_t*) {
+          auto locked = [&](const Index& index, obs::DescentTrace* trace) {
+            FindLocked(index, skeys, m, vals, trace);
+          };
+          LockedRead(s, s == shard_of[0] ? t : nullptr, locked);
         });
   }
 
   // A sub-batch under the shard lock: the grouped (level-wise,
   // sort-once) descent when the index has one and the sub-batch clears
-  // UseGroupedDescent, else the pipelined FindBatch in 256-key chunks.
+  // UseGroupedDescent, else the interleaved FindBatch in 256-key chunks.
   // A sampled sub-batch (`t`) records the grouped per-level trace where
   // the index has one, else the traced descent of its first key.
   static void FindLocked(const Index& index, const KeyType* keys, size_t m,

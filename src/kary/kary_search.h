@@ -63,6 +63,39 @@ int CompareStep(const T* node_keys, T v) {
   return CompareNode<T, Eval, B, kBits>(node_keys, Ops::Set1(v));
 }
 
+// Calls fn(step) with the one-level comparison step `int step(const T*
+// node_keys, T v)` that the backend dispatch routes this width to: the
+// inline CompareStep of a concrete backend or of a native width the
+// baseline build carries, the registered compare_step kernel otherwise,
+// and the scalar image when the CPU or the binary lacks the width. The
+// decision is made once per call, so an engine that takes many steps
+// (the interleaved B+-tree batch descent) instantiates its loop per
+// route and pays no per-step dispatch.
+template <typename T, typename Eval = simd::PopcountEval,
+          simd::Backend B = simd::kDefaultBackend, int kBits = 128,
+          typename Fn>
+void WithCompareStep(Fn&& fn) {
+  if constexpr (B == simd::Backend::kDispatch) {
+    if (simd::DispatchWantsNative(kBits)) {
+      if constexpr (kBits == 128) {
+        if constexpr (simd::kHaveSse) {
+          return WithCompareStep<T, Eval, simd::Backend::kSse, 128>(fn);
+        }
+      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
+        return WithCompareStep<T, Eval, simd::Backend::kSse, 256>(fn);
+      } else {
+        const auto step = NativeKernels<T, Eval, kBits>::instance.compare_step;
+        if (step != nullptr) return fn(step);
+      }
+    }
+    return WithCompareStep<T, Eval, simd::Backend::kScalar, kBits>(fn);
+  } else {
+    fn([](const T* node_keys, T v) {
+      return CompareStep<T, Eval, B, kBits>(node_keys, v);
+    });
+  }
+}
+
 // Algorithm 5: search on a breadth-first linearized array.
 //
 // `stored_slots` is the number of materialized key slots — either the

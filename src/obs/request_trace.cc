@@ -18,7 +18,7 @@ const char* RequestSpanKindName(uint8_t kind) {
 
 namespace request_internal {
 
-thread_local SpanCollector* g_collector = nullptr;
+constinit thread_local SpanCollector* g_collector = nullptr;
 
 namespace {
 

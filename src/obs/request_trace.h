@@ -133,8 +133,11 @@ struct SpanCollector {
 };
 
 namespace request_internal {
-// Only the owning thread reads or writes the collector pointer.
-extern thread_local SpanCollector* g_collector;
+// Only the owning thread reads or writes the collector pointer. constinit
+// makes every access a direct TLS load: without it, an including TU
+// reaches the variable through a TLS wrapper function that may run
+// dynamic initialization, and UBSan's null check flags that path.
+extern constinit thread_local SpanCollector* g_collector;
 }  // namespace request_internal
 
 inline SpanCollector* ActiveSpanCollector() {

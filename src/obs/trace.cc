@@ -56,8 +56,8 @@ thread_local uint32_t t_sample_countdown = 0;
 
 std::atomic<uint32_t> g_sample_rate{EnvSampleRate()};
 
-thread_local uint32_t g_conn_id = 0;
-thread_local uint32_t g_request_id = 0;
+constinit thread_local uint32_t g_conn_id = 0;
+constinit thread_local uint32_t g_request_id = 0;
 
 bool SampleSlowPath(uint32_t rate) {
   if (++t_sample_countdown >= rate) {

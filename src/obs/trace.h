@@ -153,9 +153,11 @@ bool SampleSlowPath(uint32_t rate);
 void ResetThreadSampleCountdown();
 
 // Per-thread serving attribution (see SetTraceRequestContext). Plain
-// thread-locals: only the owning thread reads or writes them.
-extern thread_local uint32_t g_conn_id;
-extern thread_local uint32_t g_request_id;
+// thread-locals: only the owning thread reads or writes them. constinit
+// tells every including TU the initializer is constant, so accesses go
+// straight to the TLS slot instead of through the dynamic-init wrapper.
+extern constinit thread_local uint32_t g_conn_id;
+extern constinit thread_local uint32_t g_request_id;
 
 }  // namespace trace_internal
 

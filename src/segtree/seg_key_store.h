@@ -30,6 +30,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/batch.h"
 #include "kary/kary_search.h"
 #include "kary/layout.h"
 #include "kary/linearize.h"
@@ -125,6 +126,91 @@ class SegKeyStore {
     return UpperBound(static_cast<Key>(v - 1));
   }
 
+  // Resumable UpperBound for the interleaved batch descent
+  // (btree/batch_descent.h). BeginUpperBound snapshots the node into the
+  // cursor and returns the key line the search reads first, or nullptr
+  // when there is nothing to search (c->pos == 0). Each StepUpperBound
+  // call makes the k-ary levels' comparisons — one SIMD compare each,
+  // through `step` from WithCompareStep — up to the first level whose
+  // node may miss: one in another cache line than the one just read,
+  // and outside the first two breadth-first levels that PrefetchTop
+  // fetches. It returns that node's line, or nullptr once c->pos equals
+  // UpperBound(v). The level arithmetic is UpperBoundBf/Df's
+  // (kary_search.h), split at the loop boundary.
+  static constexpr int64_t kTopSlots =
+      simd::LaneTraits<Key, kBits>::kLanes * (1 + kArity);
+
+  struct Cursor {
+    int64_t pos;     // pLevel: node index, then key position
+    int64_t off;     // BF: first slot of the level; DF: the node's keys
+    int64_t span;    // BF: nodes on the level; DF: keys in the subtree
+    int64_t n;       // count snapshot
+    int64_t stored;  // stored-slot snapshot
+  };
+
+  template <typename Fn>
+  static void WithCompareStep(Fn&& fn) {
+    kary::WithCompareStep<Key, Eval, B, kBits>(fn);
+  }
+
+  // Prefetches what a search of a store over `storage` reads first,
+  // before the store itself is read: the first kTopSlots keys — in the
+  // breadth-first layout the root k-ary node and the level below it, so
+  // one turn searches both; in the depth-first layout the root node and
+  // the start of its first child subtree.
+  static void PrefetchTop(const Key* storage, int64_t) {
+    PrefetchRead(storage);
+    PrefetchRead(storage + kTopSlots - 1);
+  }
+
+  const Key* BeginUpperBound(Cursor* c) const {
+    c->pos = 0;
+    c->off = 0;
+    c->n = count_;
+    c->stored = stored_;
+    c->span = BreadthFirst() ? 1 : c->stored;
+    return c->n <= 0 || c->stored <= 0 ? nullptr : lin_;
+  }
+
+  template <typename Step>
+  const Key* StepUpperBound(Key v, Cursor* c, const Step& step) const {
+    constexpr int64_t kLanes = simd::LaneTraits<Key, kBits>::kLanes;
+    if (BreadthFirst()) {
+      const Key* node = lin_ + c->off + c->pos * kLanes;
+      for (;;) {
+        c->pos *= kArity;
+        if (node >= lin_ + c->stored) {  // pruned all-padding subtree
+          c->pos = c->n;
+          return nullptr;
+        }
+        c->pos += step(node, v);
+        c->off += c->span * kLanes;
+        c->span *= kArity;
+        if (c->off >= c->stored) break;
+        const Key* next = lin_ + c->off + c->pos * kLanes;
+        if (!SameCacheLine(node, next) && next >= lin_ + kTopSlots) {
+          return next;
+        }
+        node = next;
+      }
+    } else {
+      const Key* node = lin_ + c->off;
+      for (;;) {
+        c->pos *= kArity;
+        c->span = (c->span - (kArity - 1)) / kArity;  // child subtree keys
+        const int64_t s = step(node, v);
+        c->off += kLanes + c->span * s;
+        c->pos += s;
+        if (c->span <= 0) break;
+        const Key* next = lin_ + c->off;
+        if (!SameCacheLine(node, next)) return next;
+        node = next;
+      }
+    }
+    if (c->pos > c->n) c->pos = c->n;
+    return nullptr;
+  }
+
   // Prefetches the key storage ahead of an UpperBound call (batch
   // descent, see btree/batch_descent.h). Both linearizations place the
   // root k-ary node — the first SIMD load of every search — at the front
@@ -212,6 +298,10 @@ class SegKeyStore {
   int64_t stored_slots() const { return stored_; }
 
  private:
+  bool BreadthFirst() const {
+    return ctx_->layout_kind == kary::Layout::kBreadthFirst;
+  }
+
   // Rebuilds lin_ from ctx_->scratch (sorted, n keys).
   void Relinearize(int64_t n) {
     const int64_t stored = ctx_->layout.StoredSlots(n, ctx_->storage);

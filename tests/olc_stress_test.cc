@@ -17,6 +17,11 @@
 //     in-window, every pair self-certifying, and all sentinels inside
 //     the window must appear exactly once.
 // At each quiescent point the full index is diffed against the oracle.
+//
+// BatchAuditUnderSplitsAndMerges checks FindBatch itself against a
+// per-key writer model while writers split and merge nodes, and audits
+// that every key the optimistic pass defers is counted by the read
+// ladder's olc.* counters.
 
 #include <algorithm>
 #include <atomic>
@@ -25,11 +30,13 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "btree/btree.h"
 #include "core/sharded.h"
+#include "obs/metrics.h"
 #include "gtest/gtest.h"
 #include "util/rng.h"
 
@@ -274,6 +281,161 @@ TEST(OlcStress, EpochReclamationChurn) {
     ASSERT_EQ(*v, ValueOf(s));
   }
   ASSERT_EQ(index.size(), sentinels.size());
+}
+
+// A tree that counts the keys its optimistic batch passes defer: the
+// ShardedIndex read ladder calls these by the Index type, so the
+// wrappers see every deferral.
+struct AuditedTree : Tree {
+  static inline std::atomic<uint64_t> deferred{0};
+
+  template <typename TreeOf>
+  static void FindBatchOptimisticOver(const TreeOf& tree_of,
+                                      const uint64_t* keys, size_t n,
+                                      std::optional<uint64_t>* out,
+                                      std::vector<uint32_t>* failed) {
+    const size_t before = failed->size();
+    Tree::FindBatchOptimisticOver(tree_of, keys, n, out, failed);
+    deferred += failed->size() - before;
+  }
+  void FindBatchGroupedOptimistic(const uint64_t* keys, size_t n,
+                                  std::optional<uint64_t>* out,
+                                  std::vector<uint32_t>* failed) const {
+    const size_t before = failed->size();
+    Tree::FindBatchGroupedOptimistic(keys, n, out, failed);
+    deferred += failed->size() - before;
+  }
+};
+
+// Writers fill and empty whole key blocks (ascending inserts split
+// leaves and inner nodes, the erases merge them) while one reader runs
+// FindBatch over keys of every shard. Each key carries a seqlock-style
+// model: its writer bumps ver[k] to odd before mutating and to even
+// after, with present[k] set in between (all sequentially consistent).
+// The reader snapshots ver[k] and then present[k] before the call and
+// reads ver[k] again after it: when both reads of ver[k] return the same
+// even value, no mutation of k overlapped the call, and the answer is
+// exact — a hit iff the snapshot says present, with ValueOf(k). The
+// reader is the only thread reading the index, so the olc.* counter
+// deltas around one call are that call's: the keys its optimistic pass deferred all enter
+// olc.read_retries on the first retry rung, and a call that deferred
+// nothing touches neither counter.
+TEST(OlcStress, BatchAuditUnderSplitsAndMerges) {
+  const int scale = StressScale();
+  constexpr uint64_t kBlock = 2048;
+  constexpr uint64_t kBlocks = 24;
+  constexpr uint64_t kSpace = kBlock * kBlocks;
+  std::vector<uint64_t> sample;
+  for (uint64_t k = 0; k < kSpace; k += 64) sample.push_back(k);
+  ShardedIndex<AuditedTree> index(
+      4, ShardedIndex<AuditedTree>::SplittersFromSample(sample.data(),
+                                                        sample.size(), 4));
+  std::vector<std::atomic<uint32_t>> ver(kSpace);
+  std::vector<std::atomic<bool>> present(kSpace);
+  // Odd blocks are always full: a stable backdrop of hits around the
+  // churning even blocks.
+  for (uint64_t b = 1; b < kBlocks; b += 2) {
+    for (uint64_t k = b * kBlock; k < (b + 1) * kBlock; ++k) {
+      index.Insert(k, ValueOf(k));
+      present[k].store(true);
+    }
+  }
+  const auto mutate = [&](uint64_t k, bool insert) {
+    ver[k].fetch_add(1);
+    if (insert) {
+      index.Insert(k, ValueOf(k));
+    } else {
+      ASSERT_TRUE(index.Erase(k));
+    }
+    present[k].store(insert);
+    ver[k].fetch_add(1);
+  };
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(0x5EED + static_cast<uint64_t>(w));
+      for (int round = 0; round < 40 * scale; ++round) {
+        // Writer w owns the even blocks b with b / 2 % kWriters == w.
+        const uint64_t b =
+            2 * (rng.NextBounded(kBlocks / 2 / kWriters) * kWriters +
+                 static_cast<uint64_t>(w));
+        for (uint64_t k = b * kBlock; k < (b + 1) * kBlock; ++k) {
+          mutate(k, true);
+        }
+        for (uint64_t k = b * kBlock; k < (b + 1) * kBlock; ++k) {
+          mutate(k, false);
+        }
+      }
+    });
+  }
+
+  const obs::OlcMetrics m = obs::OlcMetrics::Register();
+  Rng rng(0xA0D17);
+  uint64_t batches = 0;
+  uint64_t exact = 0;
+  uint64_t deferred_total = 0;
+  std::thread reader([&] {
+    std::vector<uint64_t> batch;
+    std::vector<uint32_t> before;
+    std::vector<uint8_t> was_present;
+    std::vector<std::optional<uint64_t>> out;
+    const size_t sizes[] = {2, 17, 64, 287, 288, 1200};
+    while (!stop.load(std::memory_order_relaxed)) {
+      const size_t n = sizes[batches % 6];
+      batch.resize(n);
+      before.resize(n);
+      was_present.resize(n);
+      out.assign(n, std::optional<uint64_t>(1));
+      for (size_t i = 0; i < n; ++i) {
+        batch[i] = rng.NextBounded(kSpace + 64);  // tail: never written
+        if (batch[i] < kSpace) {
+          before[i] = ver[batch[i]].load();
+          was_present[i] = present[batch[i]].load() ? 1 : 0;
+        }
+      }
+      const uint64_t d0 = AuditedTree::deferred.load();
+      const uint64_t r0 = m.read_retries->Get();
+      const uint64_t f0 = m.fallback_acquisitions->Get();
+      index.FindBatch(batch.data(), n, out.data());
+      const uint64_t deferred = AuditedTree::deferred.load() - d0;
+      const uint64_t retries = m.read_retries->Get() - r0;
+      const uint64_t fallbacks = m.fallback_acquisitions->Get() - f0;
+      ASSERT_GE(retries, deferred) << "a deferred key went uncounted";
+      if (deferred == 0) {
+        ASSERT_EQ(retries, 0u);
+        ASSERT_EQ(fallbacks, 0u);
+      }
+      deferred_total += deferred;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t k = batch[i];
+        if (out[i].has_value()) {
+          ASSERT_EQ(*out[i], ValueOf(k)) << "torn batch value for key " << k;
+        }
+        if (k >= kSpace) {
+          ASSERT_FALSE(out[i].has_value()) << "unwritten key " << k;
+          continue;
+        }
+        const uint32_t after = ver[k].load();
+        if (after != before[i] || after % 2 != 0) continue;
+        ++exact;
+        ASSERT_EQ(out[i].has_value(), was_present[i] != 0)
+            << "key " << k << " stable across a call of " << n << " keys";
+      }
+      ++batches;
+    }
+  });
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_GT(batches, 0u);
+  EXPECT_GT(exact, 0u);
+  RecordProperty("deferred_keys", std::to_string(deferred_total));
+  ASSERT_TRUE(index.Validate());
+  for (uint64_t k = 0; k < kSpace; ++k) {
+    ASSERT_EQ(index.Find(k).has_value(), present[k].load()) << "key " << k;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // ShardedIndex unit tests: partitioning (ShardOf, uniform and
 // sample-quantile splitters), the full index surface against a std::map
-// oracle, cross-shard ScanRange stitching, and the FindBatch edge cases
+// oracle, cross-shard ScanRange stitching, the FindBatch edge cases
 // the differential batch tests skip — empty batches, all-missing
 // batches, batches larger than the 256-key chunk of the locked
-// FindBatch paths, and duplicate keys straddling a shard splitter.
+// FindBatch paths, and duplicate keys straddling a shard splitter — and
+// FindBatch against per-key Find: one-key batches, and the cross-shard
+// interleaved pass over every tree family's key store and layout.
 
 #include "core/sharded.h"
 
@@ -16,6 +18,7 @@
 
 #include "btree/btree.h"
 #include "gtest/gtest.h"
+#include "kary/layout.h"
 #include "segtree/segtree.h"
 #include "segtrie/segtrie.h"
 #include "util/rng.h"
@@ -390,6 +393,182 @@ TEST(ShardedTest, MovedInIndexBecomesTheSingleShard) {
   const bool armed = index.WithShardRead(
       0, [](const SegTree64& t) { return t.concurrent_reads_enabled(); });
   EXPECT_EQ(armed, mem::ArenaEnabled() && !olc::ForceShardLocks());
+}
+
+// A one-key FindBatch takes Find's path: the same answer, and every
+// out slot overwritten (a stale value must be cleared on a miss).
+template <typename Index>
+void CheckOneKeyBatchMatchesFind(size_t shards) {
+  ShardedIndex<Index> index(shards);
+  Rng rng(21);
+  std::vector<uint64_t> probes;
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t k = rng.Next();
+    if (i % 3 != 0) index.Insert(k, k ^ 0xABCD);
+    probes.push_back(k);
+  }
+  for (uint64_t s : index.splitters()) {
+    index.Insert(s, s + 5);
+    probes.push_back(s);
+    probes.push_back(s - 1);
+  }
+  probes.push_back(0);
+  probes.push_back(std::numeric_limits<uint64_t>::max());
+  for (const uint64_t k : probes) {
+    std::optional<uint64_t> got(77);
+    index.FindBatch(&k, 1, &got);
+    ASSERT_EQ(got, index.Find(k)) << "key " << k;
+  }
+}
+
+TEST(ShardedTest, OneKeyBatchMatchesFind) {
+  CheckOneKeyBatchMatchesFind<SegTree64>(8);
+  CheckOneKeyBatchMatchesFind<SegTree64>(1);
+  CheckOneKeyBatchMatchesFind<BTree64>(8);
+  CheckOneKeyBatchMatchesFind<Trie64>(8);
+}
+
+// The interleaved FindBatch pass runs each key from its own shard's
+// root, whatever shard its batch neighbours are on; shards whose slice
+// clears UseGroupedDescent use the grouped engine instead. Both must
+// answer exactly like per-key Find on every key store and layout, for
+// hits, misses, multimap duplicates (distinct values, so "which
+// occurrence" is checked too), splitter keys, keys below a leaf's first
+// key (the previous-leaf step) and misses at a leaf's right edge.
+template <typename Index>
+class CrossShardBatchTest : public ::testing::Test {};
+
+// The dispatch-routed widths take the native step of whatever backend
+// SIMDTREE_FORCE_BACKEND selects (or the scalar image).
+using CrossShardTypes = ::testing::Types<
+    SegTree64, BTree64,
+    segtree::SegTree<uint64_t, uint64_t, kary::Layout::kDepthFirst>,
+    segtree::SegTree<uint32_t, uint64_t>,
+    segtree::SegTree<uint32_t, uint64_t, kary::Layout::kDepthFirst,
+                     simd::PopcountEval, simd::kDefaultBackend, 256>,
+    segtree::SegTree<uint64_t, uint64_t, kary::Layout::kBreadthFirst,
+                     simd::PopcountEval, simd::kDefaultBackend, 512>>;
+TYPED_TEST_SUITE(CrossShardBatchTest, CrossShardTypes);
+
+TYPED_TEST(CrossShardBatchTest, MatchesPerKeyFind) {
+  using Index = TypeParam;
+  using Key = typename Index::KeyType;
+  constexpr Key kStride = 16;
+  constexpr size_t kKeys = 120000;
+  // Quantile splitters over the stored range, so every shard holds keys.
+  std::vector<Key> splitters;
+  for (size_t s = 1; s < 8; ++s) {
+    splitters.push_back(static_cast<Key>(s * kKeys / 8 * kStride + 3));
+  }
+  ShardedIndex<Index> index(8, splitters);
+  std::map<Key, int> live;
+  for (size_t i = 0; i < kKeys; ++i) {
+    const Key k = static_cast<Key>(i * kStride + 3);
+    index.Insert(k, static_cast<uint64_t>(k) * 3);
+    ++live[k];
+  }
+  for (const Key s : splitters) {
+    index.Insert(s, 1);  // a duplicate of each splitter key
+    ++live[s];
+  }
+  // Runs of duplicates longer than a leaf, each occurrence its own value.
+  Rng rng(99);
+  for (int run = 0; run < 6; ++run) {
+    const Key k = static_cast<Key>(rng.NextBounded(kKeys) * kStride + 3);
+    for (int d = 0; d < 600; ++d) {
+      index.Insert(k, 1000000 + static_cast<uint64_t>(run * 1000 + d));
+      ++live[k];
+    }
+  }
+  // Erasing keys leaves separators that no longer start their leaf:
+  // probes between such a separator and the leaf's new first key step
+  // into the previous leaf.
+  for (size_t i = 0; i < kKeys; i += 3) {
+    const Key k = static_cast<Key>(i * kStride + 3);
+    if (live[k] == 1 && index.Erase(k)) live.erase(k);
+  }
+  // Thin the duplicate runs (Erase takes the leftmost occurrences).
+  for (auto& [k, n] : live) {
+    if (n < 100) continue;
+    const int drop = 100 + static_cast<int>(rng.NextBounded(400));
+    for (int d = 0; d < drop; ++d) ASSERT_TRUE(index.Erase(k));
+    n -= drop;
+  }
+  ASSERT_TRUE(index.Validate());
+
+  std::vector<Key> pool;
+  for (size_t i = 0; i < kKeys; ++i) {
+    const Key k = static_cast<Key>(i * kStride + 3);
+    pool.push_back(k);                            // hit, or erased miss
+    pool.push_back(static_cast<Key>(k + 1));      // miss
+    pool.push_back(static_cast<Key>(k - 1));      // miss below
+  }
+  for (const Key s : splitters) pool.push_back(s);
+  for (const auto& [k, n] : live) {
+    if (n > 1) pool.push_back(k);
+  }
+  pool.push_back(0);
+  pool.push_back(std::numeric_limits<Key>::max());
+
+  // The probe pool must step into previous leaves.
+  size_t prev_leaf_steps = 0;
+  for (const Key k : pool) {
+    index.WithShardRead(index.ShardOf(k), [&](const Index& tree) {
+      SearchCounters c;
+      tree.FindCounted(k, &c);
+      if (c.nodes_visited > static_cast<uint64_t>(tree.height())) {
+        ++prev_leaf_steps;
+      }
+      return 0;
+    });
+  }
+  EXPECT_GT(prev_leaf_steps, 0u);
+
+  // One shard's grouped threshold, straddled by a one-shard batch.
+  const int levels = index.WithShardRead(
+      3, [](const Index& tree) { return tree.height_hint(); });
+  const size_t threshold =
+      static_cast<size_t>(levels) * kGroupedMinBatchPerLevel;
+  std::vector<Key> shard3;
+  for (const Key k : pool) {
+    if (index.ShardOf(k) == 3) shard3.push_back(k);
+  }
+  ASSERT_GT(shard3.size(), threshold);
+
+  const auto check = [&](const std::vector<Key>& batch) {
+    std::vector<std::optional<uint64_t>> out(batch.size(),
+                                             std::optional<uint64_t>(7));
+    index.FindBatch(batch.data(), batch.size(), out.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(out[i], index.Find(batch[i]))
+          << "batch of " << batch.size() << ", i=" << i << ", key "
+          << static_cast<uint64_t>(batch[i]);
+    }
+  };
+  for (const size_t n :
+       {size_t{1}, size_t{2}, size_t{17}, size_t{64}, size_t{287},
+        size_t{288}, size_t{4096}}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<Key> batch;
+      for (size_t i = 0; i < n; ++i) {
+        batch.push_back(pool[rng.NextBounded(pool.size())]);
+      }
+      check(batch);
+    }
+  }
+  for (const size_t n : {threshold - 1, threshold, 2 * threshold}) {
+    std::vector<Key> batch;
+    for (size_t i = 0; i < n; ++i) {
+      batch.push_back(shard3[rng.NextBounded(shard3.size())]);
+    }
+    check(batch);
+    // The same slice with keys of every other shard mixed in: shard 3
+    // takes the grouped engine, the rest the interleaved pass.
+    for (size_t i = 0; i < n; ++i) {
+      batch.push_back(pool[rng.NextBounded(pool.size())]);
+    }
+    check(batch);
+  }
 }
 
 }  // namespace

@@ -10,10 +10,10 @@
 //       Point lookups against a persisted index (loaded as a Seg-Tree).
 //   simdtree_cli lookup-batch <index.stix> <keys.txt> [--group=N]
 //       [--grouped] [--shards=N]
-//       Batched point lookups with the group software-pipelined descent:
-//       all keys from the file (one per line) are resolved with one
-//       FindBatch call and printed as "key -> value" lines plus a
-//       hit/miss summary. --group sets the pipeline width (default 12).
+//       Batched point lookups with the interleaved descent: all keys
+//       from the file (one per line) are resolved with one FindBatch
+//       call and printed as "key -> value" lines plus a hit/miss
+//       summary. --group sets the in-flight window (default 12).
 //       --grouped switches to the grouped (level-wise) descent instead:
 //       the batch is sorted once and every visited tree node is loaded
 //       once, the fast path for large batches (DESIGN.md "Batched
