@@ -52,15 +52,19 @@
 // any mutation requires external synchronization (the paper's evaluation
 // is single-threaded; multi-threading is its future work). On top of
 // that baseline, EnableConcurrentReads() arms optimistic lock coupling:
-// every node carries an olc::VersionWord, writers version-lock exactly
-// the nodes they mutate, and the *Optimistic read paths (FindOptimistic,
-// ScanRangeOptimistic, the batch engines in batch_descent.h) descend
-// without writing any shared state, validating versions before trusting
-// a node and reporting kConflict for the caller to retry. Readers must
-// hold an olc::EpochGuard pin; freed nodes are marked dead and their
-// memory is quarantined by the pools until all pinned readers advance
+// every node carries an olc::VersionWord and writers version-lock exactly
+// the nodes they mutate. The reads run one single-key descent
+// (DescendToLeaf) and the batch engines of batch_descent.h, each
+// templated on a read protocol: Plain trusts what it reads, Optimistic
+// (FindOptimistic, ScanRangeOptimistic, the optimistic batch lookups)
+// writes no shared state, enters every node under EnterNode's rule —
+// read its version, then validate again the version that routed the
+// reader there — validates versions before trusting a node, and reports
+// kConflict for the caller to retry. Readers must hold an
+// olc::EpochGuard pin; freed nodes are marked dead and their memory is
+// quarantined by the pools until all pinned readers advance
 // (mem/arena.h). Writers still require external mutual exclusion among
-// themselves — the concurrency wrappers' per-shard exclusive lock.
+// themselves — ShardedIndex's per-shard exclusive lock.
 
 #ifndef SIMDTREE_BTREE_GENERIC_BTREE_H_
 #define SIMDTREE_BTREE_GENERIC_BTREE_H_
@@ -281,25 +285,27 @@ class GenericBPlusTree {
 
   // Value of some occurrence of `key`, or nullopt.
   std::optional<Value> Find(Key key) const {
-    return ValueAt(FindLeafPos(key, descent::None{}));
+    return FindObserved(key, descent::None{});
   }
 
   bool Contains(Key key) const {
-    return FindLeafPos(key, descent::None{}).leaf != nullptr;
+    LeafPos found;
+    FindLeafPos<Plain>(key, descent::None{}, &found);
+    return found.leaf != nullptr;
   }
 
   // Find, also counting the nodes visited on the root-to-leaf descent
   // (paper: one node search per tree level, plus one for a step into the
   // previous leaf) and the in-node comparisons.
   std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
-    return ValueAt(FindLeafPos(key, descent::Counters{counters}));
+    return FindObserved(key, descent::Counters{counters});
   }
 
   // Find, also recording a descent trace (obs/trace.h): one level span
   // per node searched, plus the key, backend and found flag. The
   // sampling wrapper (core/sharded.h) routes 1-in-N queries here.
   std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
-    return ValueAt(FindLeafPos(key, descent::Trace{t}));
+    return FindObserved(key, descent::Trace{t});
   }
 
   // Batched point lookup: out[i] = pointer to the stored value of some
@@ -314,8 +320,9 @@ class GenericBPlusTree {
   void FindBatch(const Key* keys, size_t n, const Value** out,
                  int group = kDefaultBatchGroup,
                  SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::FindBatch(*this, keys, n, out, group,
-                                              counters);
+    Batch::template Interleave<Plain, false>(
+        [this](uint32_t) { return this; }, keys, n, out,
+        ClampBatchGroup(group), counters, nullptr);
   }
 
   // Batched lower bound: out[i] = iterator at the first pair with
@@ -325,22 +332,23 @@ class GenericBPlusTree {
   void LowerBoundBatch(const Key* keys, size_t n, ConstIterator* out,
                        int group = kDefaultBatchGroup,
                        SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::LowerBoundBatch(*this, keys, n, out,
-                                                    group, counters);
+    Batch::template Interleave<Plain, true>(
+        [this](uint32_t) { return this; }, keys, n, out,
+        ClampBatchGroup(group), counters, nullptr);
   }
 
   // Grouped (level-wise) batched lookup: sorts the batch once and visits
   // each tree node once per batch, partitioning the sorted query run
   // across a node's children instead of re-searching the node per query
-  // (BatchDescent::FindBatchGrouped). Same answers and logical counters
-  // as FindBatch; counters->nodes_loaded counts each node once, so
+  // (batch_descent.h). Same answers and logical counters as FindBatch;
+  // counters->nodes_loaded counts each node once, so
   // nodes_visited / nodes_loaded is the per-batch sharing factor.
   // Preferable over FindBatch once n >= height() * levels-worth of
   // queries — see UseGroupedDescent (core/batch.h).
   void FindBatchGrouped(const Key* keys, size_t n, const Value** out,
                         SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::FindBatchGrouped(*this, keys, n, out,
-                                                     counters);
+    Batch::template Grouped<Plain, false>(*this, keys, n, out, counters,
+                                          nullptr, nullptr);
   }
 
   // FindBatchGrouped plus a grouped-descent trace: one LevelSpan per
@@ -349,16 +357,15 @@ class GenericBPlusTree {
   void FindBatchGroupedTraced(const Key* keys, size_t n, const Value** out,
                               SearchCounters* counters,
                               obs::DescentTrace* t) const {
-    BatchDescent<GenericBPlusTree>::FindBatchGroupedTraced(*this, keys, n,
-                                                           out, counters, t);
+    Batch::FindBatchGroupedTraced(*this, keys, n, out, counters, t);
   }
 
   // Grouped batched lower bound: out[i] = LowerBoundIter(keys[i]) with
   // the level-wise schedule of FindBatchGrouped.
   void LowerBoundBatchGrouped(const Key* keys, size_t n, ConstIterator* out,
                               SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::LowerBoundBatchGrouped(*this, keys, n,
-                                                           out, counters);
+    Batch::template Grouped<Plain, true>(*this, keys, n, out, counters,
+                                         nullptr, nullptr);
   }
 
   // Number of stored occurrences of `key`.
@@ -393,11 +400,6 @@ class GenericBPlusTree {
   static constexpr bool kOptimisticCapable =
       std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>;
 
-  // Bound on the FindOptimistic right-hop chain (racing splits can move
-  // a key's position a few leaves right mid-read; more than this many
-  // hops means the snapshot is hopelessly stale — restart instead).
-  static constexpr int kMaxLeafHops = 8;
-
   // Arms per-node version words for optimistic readers and switches
   // both pools to epoch-deferred reclamation. Returns false (and leaves
   // the tree lock-read-only) in heap mode (SIMDTREE_DISABLE_ARENA=1,
@@ -426,121 +428,30 @@ class GenericBPlusTree {
   }
 
   // One optimistic descent. On kOk, *out holds the value of some
-  // occurrence of `key` (nullopt when absent).
+  // occurrence of `key` (nullopt when absent). Protocol is Optimistic or
+  // a test protocol derived from it.
+  template <typename Protocol = Optimistic>
   olc::ReadResult FindOptimistic(Key key, std::optional<Value>* out) const {
     olc::TsanIgnoreReadsScope tsan;
-    const uint64_t vt = tree_version_.ReadBegin();
-    if (!olc::VersionWord::IsStable(vt)) return olc::ReadResult::kConflict;
-    const NodeBase* node = root_;
-    if (!tree_version_.Validate(vt)) return olc::ReadResult::kConflict;
-    if (node == nullptr) {
-      *out = std::nullopt;
-      return olc::ReadResult::kOk;
-    }
-    uint64_t v = node->version.ReadBegin();
-    if (!olc::VersionWord::IsStable(v)) return olc::ReadResult::kConflict;
-    while (!node->is_leaf) {
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      const int64_t idx = inner->keys.UpperBound(key);
-      if (idx < 0 || idx > inner_ctx_->capacity) {
-        return olc::ReadResult::kConflict;  // torn count, bail out
-      }
-      const NodeRef ref = inner->children[static_cast<size_t>(idx)];
-      // Validate the parent BEFORE decoding: a validated ref is a real
-      // child ref from a consistent snapshot, and the epoch pin keeps
-      // whatever it points at mapped even if it is freed underneath us.
-      if (!node->version.Validate(v)) return olc::ReadResult::kConflict;
-      const NodeBase* child = DecodeRefOptimistic(ref);
-      if (child == nullptr) return olc::ReadResult::kConflict;
-      const uint64_t vc = child->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vc)) return olc::ReadResult::kConflict;
-      node = child;
-      v = vc;
-    }
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
-    int64_t pos = leaf->keys.UpperBound(key);
-    if (pos < 0 || pos > leaf_ctx_->capacity) {
+    LeafPos found;
+    Value value{};
+    if (!FindLeafPos<Protocol>(key, descent::None{}, &found, &value)) {
       return olc::ReadResult::kConflict;
     }
-    if (pos == 0) {
-      // The occurrence, if any, ends the previous leaf: hop there under
-      // its own version after validating this leaf's prev pointer.
-      const LeafNode* prev = leaf->prev;
-      if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-      if (prev == nullptr) {
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const uint64_t vp = prev->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vp)) return olc::ReadResult::kConflict;
-      leaf = prev;
-      v = vp;
-      pos = leaf->keys.count();
-      if (pos <= 0 || pos > leaf_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-    }
-    // Right-hop loop. The descent's parent validation and this leaf's
-    // ReadBegin are separated in time: a split committing in between
-    // moves the upper part of the leaf's range into a new right
-    // sibling, so "key greater than everything here" does NOT prove
-    // absence — only a leaf whose key range provably brackets the key
-    // can answer a miss. Chase `next` (bounded) until the key is
-    // bracketed; each hop re-validates the leaf it read the pointer
-    // from, so the chain step itself is consistent.
-    for (int hop = 0; hop <= kMaxLeafHops; ++hop) {
-      if (pos > 0) {
-        const Key found = leaf->keys.At(pos - 1);
-        Value value{};
-        const bool hit = found == key;
-        if (hit) value = leaf->values[static_cast<size_t>(pos - 1)];
-        if (hit) {
-          if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-          *out = std::optional<Value>(std::move(value));
-          return olc::ReadResult::kOk;
-        }
-      } else {
-        // Hopped into a leaf whose keys are all greater: genuine miss.
-        if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const int64_t count = leaf->keys.count();
-      if (count < 0 || count > leaf_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-      if (pos < count) {
-        // Bracketed: a key strictly greater exists in this same leaf.
-        if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const LeafNode* next = leaf->next;
-      if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-      if (next == nullptr) {
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const uint64_t vn = next->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vn)) return olc::ReadResult::kConflict;
-      leaf = next;
-      v = vn;
-      pos = leaf->keys.UpperBound(key);
-      if (pos < 0 || pos > leaf_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-    }
-    return olc::ReadResult::kConflict;  // hop bound exceeded
+    *out = found.leaf != nullptr ? std::optional<Value>(std::move(value))
+                                 : std::nullopt;
+    return olc::ReadResult::kOk;
   }
 
-  // Optimistic interleaved / grouped batch lookups (batch_descent.h).
-  // out[i] is written for every resolved query; conflicted query
-  // indices are appended to *failed with out[i] untouched.
+  // Optimistic interleaved / grouped batch lookups (batch_descent.h):
+  // one attempt per query. out[i] gets a copy of the value for every
+  // query resolved on a consistent snapshot; conflicted query indices
+  // are appended to *failed with out[i] untouched.
   void FindBatchOptimistic(const Key* keys, size_t n,
                            std::optional<Value>* out,
                            std::vector<uint32_t>* failed) const {
-    BatchDescent<GenericBPlusTree>::FindBatchOptimistic(*this, keys, n, out,
-                                                        failed);
+    FindBatchOptimisticOver([this](uint32_t) { return this; }, keys, n, out,
+                            failed);
   }
   // One optimistic interleaved pass with query i on tree *tree_of(i) (a
   // pointer to a tree of this type, or nullptr to leave query i out):
@@ -549,14 +460,19 @@ class GenericBPlusTree {
   static void FindBatchOptimisticOver(const TreeOf& tree_of, const Key* keys,
                                       size_t n, std::optional<Value>* out,
                                       std::vector<uint32_t>* failed) {
-    BatchDescent<GenericBPlusTree>::FindBatchOptimisticOver(tree_of, keys, n,
-                                                            out, failed);
+    olc::TsanIgnoreReadsScope tsan;
+    Batch::template Interleave<Optimistic, false>(
+        tree_of, keys, n, out, Batch::kMaxInFlight, nullptr, failed);
   }
+  // The level-wise form: each frontier node is entered and validated
+  // once for its whole sorted run.
+  template <typename Protocol = Optimistic>
   void FindBatchGroupedOptimistic(const Key* keys, size_t n,
                                   std::optional<Value>* out,
                                   std::vector<uint32_t>* failed) const {
-    BatchDescent<GenericBPlusTree>::FindBatchGroupedOptimistic(*this, keys, n,
-                                                               out, failed);
+    olc::TsanIgnoreReadsScope tsan;
+    Batch::template Grouped<Protocol, false>(*this, keys, n, out, nullptr,
+                                             nullptr, failed);
   }
 
   // One optimistic attempt at a range scan, delivering pairs through
@@ -574,7 +490,13 @@ class GenericBPlusTree {
   // twice. Initialize with *resume_key = lo, *resume_skip = 0. The
   // floor also enforces monotone (non-decreasing) delivery across the
   // mixed-snapshot leaf hops.
-  template <typename Sink>
+  //
+  // The descent and every hop to the next leaf enter the leaf under
+  // EnterNode's rule: a split, borrow or merge that moves keys into or
+  // out of the leaf about to be read locks the node that routed the
+  // scan there (the parent, or the leaf just delivered), so such a
+  // writer cannot slip in unseen and make the scan skip a pair.
+  template <typename Protocol = Optimistic, typename Sink>
   olc::ReadResult ScanRangeOptimistic(Key hi, bool hi_inclusive,
                                       Key* resume_key, uint32_t* resume_skip,
                                       Sink sink) const {
@@ -582,30 +504,12 @@ class GenericBPlusTree {
     Key floor = *resume_key;
     uint32_t floor_quota = *resume_skip;
     uint32_t floor_seen = 0;
-    // Descend to the leaf holding the lower bound of the floor key.
-    const uint64_t vt = tree_version_.ReadBegin();
-    if (!olc::VersionWord::IsStable(vt)) return olc::ReadResult::kConflict;
-    const NodeBase* node = root_;
-    if (!tree_version_.Validate(vt)) return olc::ReadResult::kConflict;
-    if (node == nullptr) return olc::ReadResult::kOk;
-    uint64_t v = node->version.ReadBegin();
-    if (!olc::VersionWord::IsStable(v)) return olc::ReadResult::kConflict;
-    while (!node->is_leaf) {
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      const int64_t idx = inner->keys.LowerBound(floor);
-      if (idx < 0 || idx > inner_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-      const NodeRef ref = inner->children[static_cast<size_t>(idx)];
-      if (!node->version.Validate(v)) return olc::ReadResult::kConflict;
-      const NodeBase* child = DecodeRefOptimistic(ref);
-      if (child == nullptr) return olc::ReadResult::kConflict;
-      const uint64_t vc = child->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vc)) return olc::ReadResult::kConflict;
-      node = child;
-      v = vc;
-    }
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
+    descent::None o;
+    const Visit at = DescendToLeaf<Protocol, true>(floor, o);
+    if (!at.ok) return olc::ReadResult::kConflict;
+    const LeafNode* leaf = at.leaf;
+    uint64_t v = at.ver;
+    if (leaf == nullptr) return olc::ReadResult::kOk;
     std::vector<std::pair<Key, Value>> buffered;
     for (;;) {
       buffered.clear();
@@ -643,9 +547,12 @@ class GenericBPlusTree {
         *resume_skip = floor_seen;
       }
       if (past_hi || next == nullptr) return olc::ReadResult::kOk;
-      v = next->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(v)) return olc::ReadResult::kConflict;
+      uint64_t vn = 0;
+      if (!EnterNode<Protocol>(next, leaf->version, v, &vn)) {
+        return olc::ReadResult::kConflict;
+      }
       leaf = next;
+      v = vn;
     }
   }
 
@@ -687,14 +594,9 @@ class GenericBPlusTree {
 
   // Iterator at the first pair with key >= lo.
   ConstIterator LowerBoundIter(Key lo) const {
-    if (root_ == nullptr) return ConstIterator();
-    const NodeBase* node = root_;
-    while (!node->is_leaf) {
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      const int64_t idx = inner->keys.LowerBound(lo);
-      node = DecodeRef(inner->children[static_cast<size_t>(idx)]);
-    }
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
+    descent::None o;
+    const LeafNode* leaf = DescendToLeaf<Plain, true>(lo, o).leaf;
+    if (leaf == nullptr) return ConstIterator();
     int64_t pos = leaf->keys.LowerBound(lo);
     if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
       leaf = leaf->next;
@@ -940,6 +842,7 @@ class GenericBPlusTree {
   friend class ConstIterator;
   template <typename Tree>
   friend class BatchDescent;
+  using Batch = BatchDescent<GenericBPlusTree>;
 
   // --- writer-side version locking ---------------------------------------
 
@@ -1180,56 +1083,160 @@ class GenericBPlusTree {
     int64_t index = 0;
   };
 
+  // Where a descent stands: the leaf it reached (nullptr: the tree is
+  // empty) and, under Optimistic, the version it entered the leaf at.
+  // ok == false: a writer got in the way (Optimistic only).
+  struct Visit {
+    const LeafNode* leaf = nullptr;
+    uint64_t ver = 0;
+    bool ok = true;
+  };
+
+  // The tree's one root-to-leaf walk, to the leaf whose range holds the
+  // upper bound of `key` (kLower: its lower bound), searching each node
+  // under the observer. Optimistic validates a node before decoding the
+  // child reference it gave and enters the child under EnterNode's rule
+  // (batch_descent.h), the root under the tree's version.
+  template <typename Protocol, bool kLower, typename Observer>
+  Visit DescendToLeaf(Key key, Observer& o) const {
+    constexpr Visit kConflict{nullptr, 0, false};
+    const NodeBase* node;
+    uint64_t ver = 0;
+    if constexpr (Protocol::kValidates) {
+      const uint64_t vt = tree_version_.ReadBegin();
+      node = root_;
+      if (!olc::VersionWord::IsStable(vt) || !tree_version_.Validate(vt) ||
+          (node != nullptr &&
+           !EnterNode<Protocol>(node, tree_version_, vt, &ver))) {
+        return kConflict;
+      }
+    } else {
+      node = root_;
+    }
+    if (node == nullptr) return {};
+    for (int depth = 1; !node->is_leaf; ++depth) {
+      const InnerNode* inner = static_cast<const InnerNode*>(node);
+      const int64_t idx = SearchNode<kLower>(o, inner, key);
+      if constexpr (Protocol::kValidates) {
+        if (idx < 0 || idx > inner_ctx_->capacity) return kConflict;  // torn
+        const NodeRef ref = inner->children[static_cast<size_t>(idx)];
+        // A validated ref is a real child ref of a consistent snapshot,
+        // and the epoch pin keeps whatever it points at mapped.
+        if (!inner->version.Validate(ver)) return kConflict;
+        node = DecodeRefOptimistic(ref);
+        const uint64_t parent_ver = ver;
+        if (node == nullptr || depth > kMaxOptimisticDepth ||
+            !EnterNode<Protocol>(node, inner->version, parent_ver, &ver)) {
+          return kConflict;
+        }
+      } else {
+        node = DecodeRef(inner->children[static_cast<size_t>(idx)]);
+      }
+    }
+    return {static_cast<const LeafNode*>(node), ver, true};
+  }
+
   // Locates one occurrence of `key` via upper-bound descent (the paper's
   // navigation): the descent lands in the leaf holding the global upper
   // bound of `key`; the occurrence, if any, is the position before it —
-  // possibly the last key of the previous leaf. This is the tree's one
-  // single-key descent; the observer (core/descent_observer.h) decides
-  // what it records.
-  template <typename Observer>
-  LeafPos FindLeafPos(Key key, Observer o) const {
+  // possibly the last key of the previous leaf, entered under
+  // EnterNode's rule with this leaf as the guard. The observer
+  // (core/descent_observer.h) decides what the descent records.
+  // Optimistic copies the occurrence's value to *value before
+  // validating the leaf, reports a miss only once RightEdgeMissProven
+  // proves it, and returns false on a conflict; Plain returns true.
+  template <typename Protocol, typename Observer>
+  bool FindLeafPos(Key key, Observer o, LeafPos* found,
+                   Value* value = nullptr) const {
+    constexpr bool kOpt = Protocol::kValidates;
     o.Start(static_cast<uint64_t>(static_cast<std::make_unsigned_t<Key>>(key)),
             KeyStore::kTraceBackend);
-    LeafPos found;
-    if (root_ != nullptr) {
-      const NodeBase* node = root_;
-      while (!node->is_leaf) {
-        const InnerNode* inner = static_cast<const InnerNode*>(node);
-        node = DecodeRef(
-            inner->children[static_cast<size_t>(SearchNode(o, inner, key))]);
-      }
-      const LeafNode* leaf = static_cast<const LeafNode*>(node);
-      int64_t pos = SearchNode(o, leaf, key);
+    const Visit at = DescendToLeaf<Protocol, false>(key, o);
+    if (!at.ok) return false;
+    const LeafNode* leaf = at.leaf;
+    uint64_t ver = at.ver;
+    if (leaf != nullptr) {
+      int64_t pos = SearchNode<false>(o, leaf, key);
+      if (kOpt && (pos < 0 || pos > leaf_ctx_->capacity)) return false;
       if (pos == 0) {
-        leaf = leaf->prev;
+        const LeafNode* prev = leaf->prev;
+        if constexpr (kOpt) {
+          const uint64_t leaf_ver = ver;
+          if (!leaf->version.Validate(leaf_ver) ||
+              (prev != nullptr &&
+               !EnterNode<Protocol>(prev, leaf->version, leaf_ver, &ver))) {
+            return false;
+          }
+        }
+        leaf = prev;
         if (leaf != nullptr) {
           o.Hop();
           pos = leaf->keys.count();
+          if (kOpt && (pos <= 0 || pos > leaf_ctx_->capacity)) return false;
         }
       }
-      if (leaf != nullptr && leaf->keys.At(pos - 1) == key) {
-        found = {leaf, pos - 1};
+      if (leaf != nullptr) {
+        const bool hit = leaf->keys.At(pos - 1) == key;
+        if constexpr (kOpt) {
+          if (hit) *value = leaf->values[static_cast<size_t>(pos - 1)];
+          if ((!hit && !RightEdgeMissProven(leaf, pos, key)) ||
+              !leaf->version.Validate(ver)) {
+            return false;
+          }
+        }
+        if (hit) *found = {leaf, pos - 1};
       }
     }
-    o.Found(found.leaf != nullptr);
-    return found;
+    o.Found(found->leaf != nullptr);
+    return true;
   }
 
-  // One node's upper-bound search under the descent observer.
-  template <typename Observer, typename Node>
+  // Plain find under the observer.
+  template <typename Observer>
+  std::optional<Value> FindObserved(Key key, Observer o) const {
+    LeafPos found;
+    FindLeafPos<Plain>(key, o, &found);
+    if (found.leaf == nullptr) return std::nullopt;
+    return found.leaf->values[static_cast<size_t>(found.index)];
+  }
+
+  // One node's upper-bound search under the descent observer, or its
+  // lower-bound search (no observer records lower-bound descents).
+  template <bool kLower, typename Observer, typename Node>
   int64_t SearchNode(Observer& o, const Node* node, Key key) const {
-    return o.Search(
-        [&] { return node->keys.UpperBound(key); },
-        [&](SearchCounters* c) { return node->keys.UpperBoundCounted(key, c); },
-        [&] {
-          return descent::NodeInfo{node->self, node->keys.TraceLayoutId(),
-                                   TraceSlab(node->self)};
-        });
+    if constexpr (kLower) {
+      static_assert(std::is_same_v<Observer, descent::None>);
+      return node->keys.LowerBound(key);
+    } else {
+      return o.Search(
+          [&] { return node->keys.UpperBound(key); },
+          [&](SearchCounters* c) {
+            return node->keys.UpperBoundCounted(key, c);
+          },
+          [&] {
+            return descent::NodeInfo{node->self, node->keys.TraceLayoutId(),
+                                     TraceSlab(node->self)};
+          });
+    }
   }
 
-  static std::optional<Value> ValueAt(LeafPos pos) {
-    if (pos.leaf == nullptr) return std::nullopt;
-    return pos.leaf->values[static_cast<size_t>(pos.index)];
+  // Optimistic: whether a find that stopped at upper-bound position
+  // `pos` of `leaf` without a hit has proven the miss. Inside the leaf it
+  // has; at the right edge (pos == count, live next leaf) only once the
+  // key precedes the next leaf's first key, read under that leaf's own
+  // version. The caller validates `leaf` afterwards, which covers the
+  // count and next-pointer reads.
+  bool RightEdgeMissProven(const LeafNode* leaf, int64_t pos, Key key) const {
+    const int64_t count = leaf->keys.count();
+    if (count < 0 || count > leaf_ctx_->capacity) return false;
+    const LeafNode* next = leaf->next;
+    if (pos < count || next == nullptr) return true;
+    const uint64_t vn = next->version.ReadBegin();
+    if (!olc::VersionWord::IsStable(vn)) return false;
+    const int64_t next_count = next->keys.count();
+    if (next_count <= 0 || next_count > leaf_ctx_->capacity) return false;
+    const Key first = next->keys.At(0);
+    return next->version.Validate(vn) && key < first;
   }
 
   // --- erase --------------------------------------------------------------

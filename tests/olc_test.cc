@@ -1,12 +1,16 @@
 // Unit tests for the optimistic-lock-coupling primitives (core/olc.h),
 // the NodePool's epoch-deferred reclamation (mem/arena.h), and the
-// B+-tree's optimistic read paths against their locked twins.
+// B+-tree's optimistic read paths against their locked twins — on both
+// key stores, and with a writer injected between a reader's route to a
+// leaf and its entry into it.
 //
 // Everything here is tier-1: single-process, deterministic, fast. The
 // multi-threaded differential suites live in olc_stress_test.cc.
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -14,8 +18,10 @@
 #include "btree/btree.h"
 #include "core/olc.h"
 #include "gtest/gtest.h"
+#include "kary/layout.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
+#include "segtree/segtree.h"
 
 namespace simdtree {
 namespace {
@@ -308,6 +314,246 @@ TEST(ForceShardLocks, MatchesEnvironment) {
   const char* env = std::getenv("SIMDTREE_FORCE_SHARD_LOCKS");
   const bool expect = env != nullptr && env[0] != '\0' && env[0] != '0';
   EXPECT_EQ(olc::ForceShardLocks(), expect);
+}
+
+
+// --- a writer between route and entry ---------------------------------------
+//
+// An optimistic reader validates the node that routes it to a leaf, then
+// reads the leaf's version. WriterBeforeLeaf runs a writer in exactly
+// that window, once: the first time a reader is about to enter a leaf.
+// The library's own Optimistic protocol leaves the hook empty.
+
+struct WriterBeforeLeaf : btree::Optimistic {
+  static inline std::function<void()> writer;
+  static void Routed(bool to_leaf) {
+    if (to_leaf && writer) std::exchange(writer, nullptr)();
+  }
+};
+
+// Keys 0, 2, ..., 126 in full capacity-8 leaves [0..14] [16..30] ...
+// under one root with separators 16, 32, ..., 112.
+Tree EvenKeysTree() {
+  std::vector<uint64_t> keys, values;
+  for (uint64_t k = 0; k < 128; k += 2) {
+    keys.push_back(k);
+    values.push_back(ValueOf(k));
+  }
+  return Tree::BulkLoad(keys.data(), values.data(), keys.size(), 1.0,
+                        /*capacity=*/8);
+}
+
+// The writers, each run from the reader's window.
+// Split: inserting 17 splits the full leaf [16..30]; 24..30 move to a
+// new right sibling.
+void SplitSecondLeaf(Tree* tree) { tree->Insert(17, ValueOf(17)); }
+
+// Borrow: after PrepareBorrow the first leaf holds [10, 12, 14] (the
+// minimum of 3) and the second [18..30] under the stale separator 16.
+// Erasing 10 underflows the first leaf, which borrows 18 from the
+// second (BorrowFromRight): a reader routed to the second leaf for 18
+// no longer finds it there.
+void PrepareBorrow(Tree* tree) {
+  for (const uint64_t k : {16, 0, 2, 4, 6, 8}) ASSERT_TRUE(tree->Erase(k));
+}
+void BorrowIntoFirstLeaf(Tree* tree) { ASSERT_TRUE(tree->Erase(10)); }
+
+struct WindowCase {
+  const char* name;
+  bool borrow;       // BorrowIntoFirstLeaf, else SplitSecondLeaf
+  uint64_t probe;    // a key the writer moves out of the routed leaf
+  uint64_t lo, hi;   // a scan range over the moved keys
+};
+
+const WindowCase kWindowCases[] = {
+    {"split", false, 30, 24, 40},
+    {"borrow", true, 18, 18, 30},
+};
+
+// Sets up `c`'s tree with the writer armed; false when the tree cannot
+// arm optimistic reads (heap mode).
+bool ArmWindow(const WindowCase& c, Tree* tree) {
+  *tree = EvenKeysTree();
+  if (!tree->EnableConcurrentReads()) return false;
+  if (c.borrow) PrepareBorrow(tree);
+  WriterBeforeLeaf::writer = [tree, borrow = c.borrow] {
+    borrow ? BorrowIntoFirstLeaf(tree) : SplitSecondLeaf(tree);
+  };
+  return true;
+}
+
+TEST(RouteThenEnter, FindOptimisticRetriesAndMatchesLockedFind) {
+  for (const WindowCase& c : kWindowCases) {
+    SCOPED_TRACE(c.name);
+    Tree tree;
+    if (!ArmWindow(c, &tree)) GTEST_SKIP() << "arena disabled";
+    olc::EpochGuard pin;
+    std::optional<uint64_t> got;
+    // The writer changed the routed leaf's range: the first attempt
+    // must conflict, the retry must see the new tree.
+    EXPECT_EQ(tree.FindOptimistic<WriterBeforeLeaf>(c.probe, &got),
+              olc::ReadResult::kConflict);
+    EXPECT_FALSE(WriterBeforeLeaf::writer) << "writer never ran";
+    ASSERT_EQ(tree.FindOptimistic<WriterBeforeLeaf>(c.probe, &got),
+              olc::ReadResult::kOk);
+    EXPECT_EQ(got, tree.Find(c.probe));
+    EXPECT_TRUE(got.has_value());
+    EXPECT_TRUE(tree.Validate());
+  }
+}
+
+TEST(RouteThenEnter, GroupedOptimisticRetriesAndMatchesLockedFind) {
+  for (const WindowCase& c : kWindowCases) {
+    SCOPED_TRACE(c.name);
+    Tree tree;
+    if (!ArmWindow(c, &tree)) GTEST_SKIP() << "arena disabled";
+    olc::EpochGuard pin;
+    // Every key routes to the leaf the writer changes.
+    const std::vector<uint64_t> keys = {c.probe - 4, c.probe - 2, c.probe};
+    std::vector<std::optional<uint64_t>> out(keys.size());
+    std::vector<uint32_t> failed;
+    tree.FindBatchGroupedOptimistic<WriterBeforeLeaf>(keys.data(), keys.size(),
+                                                      out.data(), &failed);
+    EXPECT_FALSE(WriterBeforeLeaf::writer) << "writer never ran";
+    EXPECT_EQ(failed.size(), keys.size());
+    failed.clear();
+    tree.FindBatchGroupedOptimistic<WriterBeforeLeaf>(keys.data(), keys.size(),
+                                                      out.data(), &failed);
+    EXPECT_TRUE(failed.empty());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(out[i], tree.Find(keys[i])) << "key " << keys[i];
+    }
+  }
+}
+
+TEST(RouteThenEnter, ScanRangeOptimisticDeliversEveryPairOnce) {
+  for (const WindowCase& c : kWindowCases) {
+    SCOPED_TRACE(c.name);
+    Tree tree;
+    if (!ArmWindow(c, &tree)) GTEST_SKIP() << "arena disabled";
+    std::vector<std::pair<uint64_t, uint64_t>> got;
+    uint64_t resume = c.lo;
+    uint32_t skip = 0;
+    int attempts = 0;
+    {
+      olc::EpochGuard pin;
+      while (attempts < 4) {
+        ++attempts;
+        if (tree.ScanRangeOptimistic<WriterBeforeLeaf>(
+                c.hi, /*hi_inclusive=*/false, &resume, &skip,
+                [&](uint64_t k, const uint64_t& v) {
+                  got.emplace_back(k, v);
+                }) == olc::ReadResult::kOk) {
+          break;
+        }
+      }
+    }
+    EXPECT_FALSE(WriterBeforeLeaf::writer) << "writer never ran";
+    EXPECT_EQ(attempts, 2);
+    std::vector<std::pair<uint64_t, uint64_t>> locked;
+    tree.ScanRange(c.lo, c.hi, [&](uint64_t k, const uint64_t& v) {
+      locked.emplace_back(k, v);
+    });
+    EXPECT_EQ(got, locked);
+  }
+}
+
+// --- optimistic reads on the SIMD key store ---------------------------------
+//
+// The optimistic and Plain descents against the locked reads on Seg-Trees
+// of both layouts and two key widths, on a quiescent tree whose shape
+// exercises every leaf-level case: a duplicate run spanning many leaves,
+// stale separators left by erased keys (previous-leaf hops), and gaps at
+// every leaf end (right-edge misses).
+
+template <typename T>
+class SegTreeOptimistic : public ::testing::Test {};
+
+using SegTrees = ::testing::Types<
+    segtree::SegTree<uint32_t, uint64_t, kary::Layout::kBreadthFirst>,
+    segtree::SegTree<uint32_t, uint64_t, kary::Layout::kDepthFirst>,
+    segtree::SegTree<uint64_t, uint64_t, kary::Layout::kBreadthFirst>,
+    segtree::SegTree<uint64_t, uint64_t, kary::Layout::kDepthFirst>>;
+TYPED_TEST_SUITE(SegTreeOptimistic, SegTrees);
+
+TYPED_TEST(SegTreeOptimistic, MatchesLockedReads) {
+  using Key = typename TypeParam::KeyType;
+  TypeParam tree(/*capacity=*/16);
+  if (!tree.EnableConcurrentReads()) GTEST_SKIP() << "arena disabled";
+  constexpr Key kDup = 4500;
+  std::vector<Key> model;
+  // Multiples of 3 (gaps at every leaf end), a 200-long run of kDup,
+  // then about a fifth of the keys erased.
+  for (Key k = 0; k < 9000; k += 3) tree.Insert(k, ValueOf(k));
+  for (int i = 0; i < 200; ++i) tree.Insert(kDup, ValueOf(kDup));
+  for (Key k = 0; k < 9000; k += 3) {
+    if (k != kDup && (k / 3) % 5 == 2) {
+      ASSERT_TRUE(tree.Erase(k));
+    }
+  }
+  ASSERT_TRUE(tree.Validate());
+  for (auto it = tree.begin(); it.valid(); ++it) model.push_back(it.key());
+
+  std::vector<Key> probes;
+  for (Key q = 0; q < 9010; ++q) probes.push_back(q);
+  olc::EpochGuard pin;
+
+  // Single-key: FindOptimistic against Find; LowerBoundIter against the
+  // model. The data must exercise the previous-leaf hop.
+  const int height = tree.height();
+  size_t hops = 0;
+  for (const Key q : probes) {
+    std::optional<uint64_t> opt;
+    ASSERT_EQ(tree.FindOptimistic(q, &opt), olc::ReadResult::kOk);
+    ASSERT_EQ(opt, tree.Find(q)) << "key " << q;
+    SearchCounters counters;
+    tree.FindCounted(q, &counters);
+    if (counters.nodes_visited > static_cast<uint64_t>(height)) ++hops;
+    const auto it = tree.LowerBoundIter(q);
+    const auto lb = std::lower_bound(model.begin(), model.end(), q);
+    ASSERT_EQ(it.valid(), lb != model.end()) << "key " << q;
+    if (it.valid()) {
+      ASSERT_EQ(it.key(), *lb) << "key " << q;
+    }
+  }
+  EXPECT_GT(hops, 0u);
+
+  // Grouped: the optimistic find against Find, the lower bound against
+  // LowerBoundIter.
+  std::vector<std::optional<uint64_t>> out(probes.size());
+  std::vector<uint32_t> failed;
+  tree.FindBatchGroupedOptimistic(probes.data(), probes.size(), out.data(),
+                                  &failed);
+  EXPECT_TRUE(failed.empty());
+  using Iter = typename TypeParam::ConstIterator;
+  std::vector<Iter> its(probes.size());
+  tree.LowerBoundBatchGrouped(probes.data(), probes.size(), its.data());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(out[i], tree.Find(probes[i])) << "key " << probes[i];
+    ASSERT_TRUE(its[i] == tree.LowerBoundIter(probes[i]))
+        << "key " << probes[i];
+  }
+
+  // Scans, through the duplicate run and across erased keys.
+  const std::pair<Key, Key> ranges[] = {
+      {0, 9010}, {4499, 4501}, {kDup, kDup}, {7, 29}, {8995, 9010}};
+  for (const auto& [lo, hi] : ranges) {
+    for (const bool inclusive : {false, true}) {
+      std::vector<std::pair<Key, uint64_t>> locked, optimistic;
+      tree.ScanRange(
+          lo, hi, [&](Key k, const uint64_t& v) { locked.emplace_back(k, v); },
+          inclusive);
+      Key resume = lo;
+      uint32_t skip = 0;
+      ASSERT_EQ(tree.ScanRangeOptimistic(hi, inclusive, &resume, &skip,
+                                         [&](Key k, const uint64_t& v) {
+                                           optimistic.emplace_back(k, v);
+                                         }),
+                olc::ReadResult::kOk);
+      EXPECT_EQ(optimistic, locked)
+          << "[" << lo << ", " << hi << (inclusive ? "]" : ")");
+    }
+  }
 }
 
 }  // namespace
