@@ -29,7 +29,9 @@
 //     FindBatchGroupedOptimistic — one frontier walk and one leaf pass)
 //     sorts the batch once and visits each node once per batch — the
 //     winner once a batch is large against the tree depth
-//     (UseGroupedDescent, core/batch.h).
+//     (UseGroupedDescent, core/batch.h). Each level's runs go through a
+//     window of kMaxInFlight runs with the same turn discipline, so the
+//     misses of different runs' nodes overlap too.
 //
 // Both engines, and the tree's single-key descent (generic_btree.h),
 // read under one of two protocols: Plain, for callers that hold the
@@ -77,14 +79,17 @@ struct GroupedLevelStats {
 // Read protocols of the descents. Plain trusts what it reads (the caller
 // keeps writers out). Optimistic validates node versions and reports
 // conflicts (the caller holds an olc::EpochGuard pin); its Routed hook
-// marks the window EnterNode closes and is empty, so it compiles away. A
-// test protocol derived from Optimistic can run a writer there.
+// marks the window EnterNode closes, and its Entered hook the span from
+// a node's entry to the validation that ends the reader's use of it;
+// both are empty, so they compile away. A test protocol derived from
+// Optimistic can run a writer there.
 struct Plain {
   static constexpr bool kValidates = false;
 };
 struct Optimistic {
   static constexpr bool kValidates = true;
   static void Routed(bool /*to_leaf*/) {}
+  static void Entered(bool /*leaf*/) {}
 };
 
 // Optimistic: how a reader steps into `node`. It reads the node's
@@ -101,7 +106,11 @@ bool EnterNode(const Node* node, const olc::VersionWord& guard,
                uint64_t guard_ver, uint64_t* ver) {
   Protocol::Routed(node->is_leaf);
   *ver = node->version.ReadBegin();
-  return olc::VersionWord::IsStable(*ver) && guard.Validate(guard_ver);
+  if (!olc::VersionWord::IsStable(*ver) || !guard.Validate(guard_ver)) {
+    return false;
+  }
+  Protocol::Entered(node->is_leaf);
+  return true;
 }
 
 // Backstop against following garbage references in a cycle: no real
@@ -118,10 +127,11 @@ class BatchDescent {
   using Iterator = typename Tree::ConstIterator;
 
   // Window bound of the interleaved descent, and the window of the
-  // optimistic pass: twice the `group` bound, so a coalesced batch of a
-  // few dozen keys fits one window and no query waits for a free slot
-  // behind the others' dependent misses. FindBatch and LowerBoundBatch
-  // keep their `group` (at most kMaxBatchGroup).
+  // optimistic pass and of the grouped descent's runs: twice the `group`
+  // bound, so a coalesced batch of a few dozen keys fits one window and
+  // no query waits for a free slot behind the others' dependent misses.
+  // FindBatch and LowerBoundBatch keep their `group` (at most
+  // kMaxBatchGroup).
   static constexpr int kMaxInFlight = 2 * kMaxBatchGroup;
 
   // The interleaved descent: runs queries 0..n-1, query i on tree
@@ -186,13 +196,16 @@ class BatchDescent {
   }
 
   // The grouped (level-wise) descent: sorts the batch once
-  // (core/batch_sort.h), then walks the tree level by level with a
-  // frontier of (node, contiguous query run) pairs (DescendRuns), and
-  // resolves each run in its leaf (ResolveRuns). Each node is loaded and
-  // searched once per batch. Out and *failed as for Interleave; answers
-  // and logical counters are identical to it, and counters->nodes_loaded
-  // counts each frontier node once, so nodes_visited / nodes_loaded is
-  // the sharing factor the level-wise traversal buys.
+  // (core/batch_sort.h) — unless it is already ascending, as a
+  // ShardedIndex shard's cut of a batch it sorted is — then walks the
+  // tree level by level with a frontier of (node, contiguous query run)
+  // pairs (DescendRuns), and resolves each run in its leaf
+  // (ResolveRuns). Each node is loaded and searched once per batch, and
+  // each level's runs share one window (RunWindow). Out and *failed as
+  // for Interleave; answers and logical counters are identical to it,
+  // and counters->nodes_loaded counts each frontier node once, so
+  // nodes_visited / nodes_loaded is the sharing factor the level-wise
+  // traversal buys.
   template <typename Protocol, bool kLower, typename Out>
   static void Grouped(const Tree& tree, const Key* keys, size_t n, Out* out,
                       SearchCounters* counters, GroupedLevelStats* stats,
@@ -216,15 +229,24 @@ class BatchDescent {
       std::fill(out, out + n, Out{});
       return;
     }
+    // Sorted query j is the caller's perm[j], or j when the batch came
+    // sorted.
     SortedBatch<Key> sorted;
-    SortBatchWithPermutation(keys, n, &sorted);
+    const uint32_t* perm = nullptr;
+    if (!std::is_sorted(keys, keys + n)) {
+      SortBatchWithPermutation(keys, n, &sorted);
+      keys = sorted.keys.data();
+      perm = sorted.perm.data();
+    }
     const auto fail = [&](uint32_t begin, uint32_t end) {
-      for (uint32_t j = begin; j < end; ++j) failed->push_back(sorted.perm[j]);
+      for (uint32_t j = begin; j < end; ++j) {
+        failed->push_back(CallerIndex(perm, j));
+      }
     };
     std::vector<Run> frontier{root};
-    DescendRuns<Protocol, kLower>(tree, sorted.keys.data(), &frontier,
-                                  counters, stats, fail);
-    ResolveRuns<Protocol, kLower>(tree, sorted, frontier, out, counters,
+    DescendRuns<Protocol, kLower>(tree, keys, &frontier, counters, stats,
+                                  fail);
+    ResolveRuns<Protocol, kLower>(tree, keys, perm, frontier, out, counters,
                                   stats, fail);
   }
 
@@ -558,21 +580,145 @@ class BatchDescent {
                      ->keys.TraceLayoutId();
   }
 
+  static uint32_t CallerIndex(const uint32_t* perm, uint32_t j) {
+    return perm != nullptr ? perm[j] : j;
+  }
+
+  // Prefetches every cache line of [begin, end).
+  static void PrefetchLines(const void* begin, const void* end) {
+    for (uintptr_t line = reinterpret_cast<uintptr_t>(begin) & ~uintptr_t{63};
+         line < reinterpret_cast<uintptr_t>(end); line += 64) {
+      Prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+
+  // --- grouped descent: a level's runs through one window -------------------
+
+  // Where an in-flight run resumes on its next turn.
+  enum class RunTurn : uint8_t {
+    kEnter,   // node header and first key lines (prefetched on admission):
+              // enter the node, begin the first query's search
+    kStep,    // the first query's next key line (prefetched)
+    kFinish,  // what the rest of the run reads (prefetched): finish it
+  };
+
+  // One in-flight run of the grouped window.
+  struct RunSlot {
+    const Run* run;
+    const KeyStore* keys;  // the node's key store
+    Cursor cur;            // the run's first query; cur.pos is its rank
+    uint64_t ver;          // node version read on entry (Optimistic)
+    Key key;               // that query, or it - 1 for a lower bound
+    RunTurn turn;
+  };
+
+  // Runs one frontier level — all inner nodes, or all leaves — through
+  // a window of up to kMaxInFlight runs, one turn per run and round as
+  // in Interleave. Admission prefetches the run's node header and the
+  // key lines its search reads first. The first turn enters the node
+  // (EnterNode; a conflict sends the run to fail(begin, end)) and
+  // begins the search of the run's first query with the key store's
+  // resumable cursor; each later turn takes that search one key line
+  // further, prefetching the next. Once the first rank is known,
+  // ranked(run, pos) prefetches what the rest of the run reads, and the
+  // run's next turn calls finish(run, ver, pos), which partitions or
+  // resolves the whole run against lines that are now cached.
+  template <typename Protocol, bool kLower, typename Ranked, typename Finish,
+            typename Fail>
+  static void RunWindow(const Tree& tree, const Key* skeys,
+                        const std::vector<Run>& runs, bool leaf,
+                        SearchCounters* counters, const Ranked& ranked,
+                        const Finish& finish, const Fail& fail) {
+    const size_t header = leaf ? sizeof(LeafNode) : sizeof(InnerNode);
+    const size_t keys_off = leaf ? tree.leaf_keys_off_ : tree.inner_keys_off_;
+    const int64_t capacity =
+        (leaf ? tree.leaf_ctx_ : tree.inner_ctx_)->capacity;
+    KeyStore::WithCompareStep([&](const auto& step) {
+      RunSlot slots[kMaxInFlight];
+      size_t next = 0;
+      const auto admit = [&](RunSlot& s) {
+        if (next == runs.size()) return false;
+        s.run = &runs[next++];
+        s.turn = RunTurn::kEnter;
+        const char* base = reinterpret_cast<const char*>(s.run->node);
+        PrefetchLines(base, base + header);
+        KeyStore::PrefetchTop(reinterpret_cast<const Key*>(base + keys_off),
+                              capacity);
+        return true;
+      };
+      // One turn of s; true while s stays in flight.
+      const auto turn = [&](RunSlot& s) {
+        const Run& run = *s.run;
+        if (s.turn == RunTurn::kFinish) {
+          finish(run, s.ver, s.cur.pos);
+          return false;
+        }
+        bool searching = true;
+        if (s.turn == RunTurn::kEnter) {
+          if constexpr (Protocol::kValidates) {
+            if (!EnterNode<Protocol>(run.node, *run.guard, run.guard_ver,
+                                     &s.ver)) {
+              fail(run.begin, run.end);
+              return false;
+            }
+          }
+          if (counters != nullptr) {
+            counters->nodes_visited += run.end - run.begin;
+            ++counters->nodes_loaded;
+          }
+          s.keys = leaf ? &static_cast<const LeafNode*>(run.node)->keys
+                        : &static_cast<const InnerNode*>(run.node)->keys;
+          s.key = skeys[run.begin];
+          bool rank_zero = false;
+          if constexpr (kLower) {
+            rank_zero = s.key == std::numeric_limits<Key>::min();
+            if (!rank_zero) --s.key;
+          }
+          searching = !rank_zero && s.keys->BeginUpperBound(&s.cur) != nullptr;
+          if (!searching) s.cur.pos = 0;
+          s.turn = RunTurn::kStep;
+        }
+        if (searching) {
+          if (const Key* line = s.keys->StepUpperBound(s.key, &s.cur, step)) {
+            Prefetch(line);
+            return true;
+          }
+        }
+        ranked(run, s.cur.pos);
+        s.turn = RunTurn::kFinish;
+        return true;
+      };
+      int live = 0;
+      while (live < kMaxInFlight && admit(slots[live])) ++live;
+      while (live > 0) {
+        for (int w = 0; w < live;) {
+          if (turn(slots[w]) || admit(slots[w])) {
+            ++w;
+          } else {
+            slots[w] = slots[--live];
+          }
+        }
+      }
+    });
+  }
+
   // Level-wise frontier walk to leaf level. kLower selects lower-bound
   // ranks for the descent (LowerBoundBatchGrouped), upper-bound ranks
   // otherwise; the run boundary under a separator s is therefore the
   // first query > s (lower) or >= s (upper). Each frontier node costs
   // one in-node search per child actually taken plus one binary split
-  // per boundary — independent of the run's length. Optimistic enters a
-  // run's node when the walk reaches it, partitions the run on that
-  // snapshot, and validates the node before decoding the child
-  // references it took; a run that conflicts goes to fail(begin, end).
+  // per boundary — independent of the run's length. Once a run's first
+  // rank is known its child reference is prefetched; the run then
+  // partitions on the node it entered (Optimistic: EnterNode), and
+  // Optimistic validates the node before decoding the child references
+  // it took. A run that conflicts goes to fail(begin, end).
   template <typename Protocol, bool kLower, typename Fail>
   static void DescendRuns(const Tree& tree, const Key* skeys,
                           std::vector<Run>* frontier,
                           SearchCounters* counters, GroupedLevelStats* stats,
                           const Fail& fail) {
     constexpr bool kOpt = Protocol::kValidates;
+    const int64_t inner_cap = tree.inner_ctx_->capacity;
     struct Part {
       typename Tree::NodeRef ref;
       uint32_t begin;
@@ -580,6 +726,51 @@ class BatchDescent {
     };
     std::vector<Part> parts;
     std::vector<Run> next;
+    const auto ranked = [&](const Run& run, int64_t pos) {
+      Prefetch(static_cast<const InnerNode*>(run.node)->children.data() +
+               std::min(pos, inner_cap));
+    };
+    const auto finish = [&](const Run& run, uint64_t ver, int64_t first) {
+      const InnerNode* inner = static_cast<const InnerNode*>(run.node);
+      const int64_t sep_count = inner->keys.count();
+      bool torn = kOpt && (sep_count < 0 || sep_count > inner_cap);
+      parts.clear();
+      for (uint32_t cur = run.begin; !torn && cur < run.end;) {
+        const int64_t idx = cur == run.begin ? first
+                            : kLower         ? inner->keys.LowerBound(skeys[cur])
+                                             : inner->keys.UpperBound(skeys[cur]);
+        if (kOpt && (idx < 0 || idx > sep_count)) {
+          torn = true;
+          break;
+        }
+        uint32_t sub_end = run.end;
+        if (idx < sep_count) {
+          const Key sep = inner->keys.At(idx);
+          sub_end = static_cast<uint32_t>(
+              (kLower ? std::upper_bound(skeys + cur + 1, skeys + run.end, sep)
+                      : std::lower_bound(skeys + cur + 1, skeys + run.end,
+                                         sep)) -
+              skeys);
+        }
+        parts.push_back(
+            Part{inner->children[static_cast<size_t>(idx)], cur, sub_end});
+        cur = sub_end;
+      }
+      if (kOpt && (torn || !inner->version.Validate(ver))) {
+        fail(run.begin, run.end);
+        return;
+      }
+      for (const Part& p : parts) {
+        const NodeBase* child =
+            kOpt ? tree.DecodeRefOptimistic(p.ref) : tree.DecodeRef(p.ref);
+        if (kOpt && child == nullptr) {
+          fail(p.begin, p.end);
+          continue;
+        }
+        Prefetch(child);
+        next.push_back(Run{child, &inner->version, ver, p.begin, p.end});
+      }
+    };
     for (int depth = 1;
          !frontier->empty() && !(*frontier)[0].node->is_leaf; ++depth) {
       if (kOpt && depth > kMaxOptimisticDepth) {
@@ -589,74 +780,8 @@ class BatchDescent {
       }
       const uint64_t start = stats != nullptr ? CycleTimer::Now() : 0;
       next.clear();
-      const std::vector<Run>& runs = *frontier;
-      for (size_t r = 0; r < runs.size(); ++r) {
-        // Two-stage lookahead: the node struct at distance 2W, its key
-        // storage (behind the store's internal pointer — readable once
-        // the struct line is hot) and child-ref array at distance W.
-        if (r + 2 * kGroupedRunLookahead < runs.size()) {
-          Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
-        }
-        if (r + kGroupedRunLookahead < runs.size()) {
-          const InnerNode* ahead = static_cast<const InnerNode*>(
-              runs[r + kGroupedRunLookahead].node);
-          ahead->keys.PrefetchKeys();
-          Prefetch(ahead->children.data());
-        }
-        const Run& run = runs[r];
-        const InnerNode* inner = static_cast<const InnerNode*>(run.node);
-        uint64_t ver = 0;
-        if constexpr (kOpt) {
-          if (!EnterNode<Protocol>(inner, *run.guard, run.guard_ver, &ver)) {
-            fail(run.begin, run.end);
-            continue;
-          }
-        }
-        if (counters != nullptr) {
-          counters->nodes_visited += run.end - run.begin;
-          ++counters->nodes_loaded;
-        }
-        inner->keys.PrefetchKeys();
-        const int64_t sep_count = inner->keys.count();
-        bool torn =
-            kOpt && (sep_count < 0 || sep_count > tree.inner_ctx_->capacity);
-        parts.clear();
-        for (uint32_t cur = run.begin; !torn && cur < run.end;) {
-          const int64_t idx = kLower ? inner->keys.LowerBound(skeys[cur])
-                                     : inner->keys.UpperBound(skeys[cur]);
-          if (kOpt && (idx < 0 || idx > sep_count)) {
-            torn = true;
-            break;
-          }
-          uint32_t sub_end = run.end;
-          if (idx < sep_count) {
-            const Key sep = inner->keys.At(idx);
-            sub_end = static_cast<uint32_t>(
-                (kLower ? std::upper_bound(skeys + cur + 1, skeys + run.end,
-                                           sep)
-                        : std::lower_bound(skeys + cur + 1, skeys + run.end,
-                                           sep)) -
-                skeys);
-          }
-          parts.push_back(
-              Part{inner->children[static_cast<size_t>(idx)], cur, sub_end});
-          cur = sub_end;
-        }
-        if (kOpt && (torn || !inner->version.Validate(ver))) {
-          fail(run.begin, run.end);
-          continue;
-        }
-        for (const Part& p : parts) {
-          const NodeBase* child = kOpt ? tree.DecodeRefOptimistic(p.ref)
-                                       : tree.DecodeRef(p.ref);
-          if (kOpt && child == nullptr) {
-            fail(p.begin, p.end);
-            continue;
-          }
-          Prefetch(child);
-          next.push_back(Run{child, &inner->version, ver, p.begin, p.end});
-        }
-      }
+      RunWindow<Protocol, kLower>(tree, skeys, *frontier, /*leaf=*/false,
+                                  counters, ranked, finish, fail);
       RecordLevel(stats, frontier->size(), start);
       frontier->swap(next);
     }
@@ -666,42 +791,36 @@ class BatchDescent {
   // Tree::FindLeafPos and LowerBoundIter resolve one key — a find may
   // step into the previous leaf, a lower bound into the next — and a
   // query equal to the one before it (adjacent after the sort) reuses
-  // its answer. Optimistic enters the leaf, and at most once per run the
-  // previous one, under EnterNode's rule, copies the run's answers out
-  // on that snapshot, and commits them only once both leaves validate
-  // and every miss is proven (RightEdgeMissProven).
+  // its answer. Once a find run's first rank is known, the value lines
+  // the run reads are prefetched (and the previous leaf's header when
+  // the first query steps there). Optimistic enters the leaf, and at
+  // most once per run the neighbour, under EnterNode's rule, copies the
+  // run's answers out on that snapshot, and commits them only once both
+  // leaves validate and every miss is proven (RightEdgeMissProven).
+  // Sorted query j answers the caller's query CallerIndex(perm, j).
   template <typename Protocol, bool kLower, typename Out, typename Fail>
-  static void ResolveRuns(const Tree& tree, const SortedBatch<Key>& sorted,
+  static void ResolveRuns(const Tree& tree, const Key* skeys,
+                          const uint32_t* perm,
                           const std::vector<Run>& frontier, Out* out,
                           SearchCounters* counters, GroupedLevelStats* stats,
                           const Fail& fail) {
     constexpr bool kOpt = Protocol::kValidates;
-    const Key* skeys = sorted.keys.data();
     const int64_t leaf_cap = tree.leaf_ctx_->capacity;
     const uint64_t start = stats != nullptr ? CycleTimer::Now() : 0;
     std::vector<Out> answers;  // Optimistic: the run's answers until commit
-    for (size_t r = 0; r < frontier.size(); ++r) {
-      if (r + 2 * kGroupedRunLookahead < frontier.size()) {
-        Prefetch(frontier[r + 2 * kGroupedRunLookahead].node);
+    const auto ranked = [&](const Run& run, int64_t pos) {
+      if constexpr (!kLower) {
+        const LeafNode* leaf = static_cast<const LeafNode*>(run.node);
+        if (pos == 0) Prefetch(leaf->prev);
+        const int64_t lo = std::clamp<int64_t>(pos - 1, 0, leaf_cap);
+        const int64_t hi = std::min<int64_t>(lo + (run.end - run.begin),
+                                             leaf_cap);
+        PrefetchLines(leaf->values.data() + lo, leaf->values.data() + hi);
       }
-      if (r + kGroupedRunLookahead < frontier.size()) {
-        static_cast<const LeafNode*>(frontier[r + kGroupedRunLookahead].node)
-            ->keys.PrefetchKeys();
-      }
-      const Run& run = frontier[r];
+    };
+    const auto finish = [&](const Run& run, uint64_t ver, int64_t first) {
       const LeafNode* leaf0 = static_cast<const LeafNode*>(run.node);
-      uint64_t ver = 0;
-      if constexpr (kOpt) {
-        if (!EnterNode<Protocol>(leaf0, *run.guard, run.guard_ver, &ver)) {
-          fail(run.begin, run.end);
-          continue;
-        }
-        answers.assign(run.end - run.begin, Out{});
-      }
-      if (counters != nullptr) {
-        counters->nodes_visited += run.end - run.begin;
-        ++counters->nodes_loaded;
-      }
+      if constexpr (kOpt) answers.assign(run.end - run.begin, Out{});
       // The neighbour the run's queries step into, read (and entered) on
       // the first step.
       const LeafNode* side = nullptr;
@@ -712,7 +831,7 @@ class BatchDescent {
       Out last{};
       bool last_stepped = false;
       for (uint32_t j = run.begin; j < run.end; ++j) {
-        Out& dst = kOpt ? answers[j - run.begin] : out[sorted.perm[j]];
+        Out& dst = kOpt ? answers[j - run.begin] : out[CallerIndex(perm, j)];
         const Key q = skeys[j];
         if (j > run.begin && q == last_q) {
           dst = last;
@@ -722,8 +841,9 @@ class BatchDescent {
         last_q = q;
         last_stepped = false;
         const LeafNode* leaf = leaf0;
-        int64_t pos =
-            kLower ? leaf->keys.LowerBound(q) : leaf->keys.UpperBound(q);
+        int64_t pos = j == run.begin ? first
+                      : kLower       ? leaf->keys.LowerBound(q)
+                                     : leaf->keys.UpperBound(q);
         if (kOpt && (pos < 0 || pos > leaf_cap)) {
           ok = false;
           break;
@@ -782,13 +902,15 @@ class BatchDescent {
         if (!ok || !leaf0->version.Validate(ver) ||
             (side != nullptr && !side->version.Validate(side_ver))) {
           fail(run.begin, run.end);
-          continue;
+          return;
         }
         for (uint32_t j = run.begin; j < run.end; ++j) {
-          out[sorted.perm[j]] = std::move(answers[j - run.begin]);
+          out[CallerIndex(perm, j)] = std::move(answers[j - run.begin]);
         }
       }
-    }
+    };
+    RunWindow<Protocol, kLower>(tree, skeys, frontier, /*leaf=*/true,
+                                counters, ranked, finish, fail);
     RecordLevel(stats, frontier.size(), start);
   }
 };

@@ -769,6 +769,7 @@ class GenericBPlusTree {
    public:
     explicit ValueArray(Value* storage) : data_(storage) {}
     size_t size() const { return static_cast<size_t>(size_); }
+    const Value* data() const { return data_; }
     Value& operator[](size_t i) { return data_[i]; }
     const Value& operator[](size_t i) const { return data_[i]; }
     Value& front() { return data_[0]; }

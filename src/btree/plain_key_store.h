@@ -150,15 +150,6 @@ class PlainKeyStore {
   static constexpr obs::TraceBackend kTraceBackend =
       obs::TraceBackend::kBPlusTree;
 
-  // Prefetches the key storage ahead of an UpperBound call (batch
-  // descent, see btree/batch_descent.h); fetch the line a binary search
-  // probes first (the middle) plus the array head that a sequential
-  // search starts from.
-  void PrefetchKeys() const {
-    __builtin_prefetch(keys_, 0, 3);
-    __builtin_prefetch(keys_ + count_ / 2, 0, 3);
-  }
-
   // Index of the first key >= v.
   int64_t LowerBound(Key v) const {
     if (v == std::numeric_limits<Key>::min()) return 0;

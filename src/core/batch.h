@@ -50,13 +50,16 @@ inline bool SameCacheLine(const void* a, const void* b) {
          reinterpret_cast<uintptr_t>(b) / 64;
 }
 
-// In-level lookahead distance for the grouped descent's run loops: while
-// run i's node is being searched, run i + kGroupedRunLookahead's node is
-// prefetched. The push-time child prefetch covers small frontiers, but
-// once a level holds more runs than the core's line fill buffers those
-// early prefetches are dropped or evicted before use and the level's
-// loads serialize; the lookahead re-issues each prefetch a fixed (LFB-
-// sized) distance ahead of its consumer, restoring the overlap.
+// In-level lookahead distance for the grouped run loops of the k-ary
+// arrays (kary/batch_search.h) and the Seg-Trie: while run i's node is
+// being searched, run i + kGroupedRunLookahead's node is prefetched. The
+// push-time child prefetch covers small frontiers, but once a level
+// holds more runs than the core's line fill buffers those early
+// prefetches are dropped or evicted before use and the level's loads
+// serialize; the lookahead re-issues each prefetch a fixed (LFB-sized)
+// distance ahead of its consumer, restoring the overlap. (The B+-tree
+// family's grouped descent runs each level through a window of runs
+// instead, btree/batch_descent.h.)
 inline constexpr size_t kGroupedRunLookahead = 8;
 
 // --- per-query vs grouped descent crossover --------------------------------

@@ -33,9 +33,10 @@
 // order. FindBatch is one memory-parallel pass over the whole batch:
 // the index's interleaved descent (btree/batch_descent.h) starts each
 // key at its own shard's root, so the misses of keys on different
-// shards overlap in one window. Only a shard whose slice is large
-// enough for the grouped (level-wise) descent has its keys gathered
-// and the values scattered back; a one-key batch is a Find.
+// shards overlap in one window. A batch large enough for some shard's
+// slice to take the grouped (level-wise) descent is sorted once and cut
+// at the splitters instead, and its values scatter back once; a one-key
+// batch is a Find.
 //
 // The read ladder. Every read — Find/Contains and a ScanRange piece on
 // one shard (ReadShard), a whole FindBatch (OptimisticBatch, then
@@ -75,6 +76,7 @@
 #include <vector>
 
 #include "core/batch.h"
+#include "core/batch_sort.h"
 #include "core/olc.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
@@ -489,11 +491,10 @@ class ShardedIndex {
 
   // FindBatch's optimistic rungs; the caller holds the epoch pin. One
   // interleaved pass (btree/batch_descent.h) runs the whole batch, each
-  // key starting at its own shard's root — except that a shard whose
-  // slice clears UseGroupedDescent serves its slice with its grouped
-  // engine, the one case that partitions the batch and scatters back.
-  // Keys either pass could not resolve climb the rest of the ladder
-  // (RetryFailed).
+  // key starting at its own shard's root. A batch large enough for some
+  // shard's slice to clear UseGroupedDescent is sorted once instead
+  // (SortedOptimisticBatch). Keys either pass could not resolve climb
+  // the rest of the ladder (RetryFailed).
   void OptimisticBatch(const KeyType* keys, size_t n,
                        std::optional<ValueType>* out) const {
     const size_t num = shards_.size();
@@ -508,82 +509,141 @@ class ShardedIndex {
         Index::FindBatchOptimisticOver([&](uint32_t) { return &index; },
                                        keys, n, out, &failed);
       }
-      RetryFailed(keys, out, &failed);
-      return;
-    }
-    // Shard ids are only materialized when the batch is large enough
-    // for a slice to clear the grouped threshold (or the imbalance gauge
-    // wants counts); otherwise each key's shard is chosen as it starts.
-    std::vector<uint32_t> shard_of;
-    std::vector<uint8_t> grouped;  // per shard; empty when none is
-    {
-      obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
-      if (metrics_ || n >= kGroupedMinBatchPerLevel) {
-        std::vector<size_t> count;
-        CountShards(keys, n, &shard_of, &count);
-        for (size_t s = 0; s < num; ++s) {
-          if (UseGroupedDescent(count[s],
-                                OptimisticLevels(shards_[s]->index))) {
-            grouped.resize(num, 0);
-            grouped[s] = 1;
-          }
+    } else if (n >= MinGroupedSlice()) {
+      SortedOptimisticBatch(keys, n, out, &failed);
+    } else {
+      // Shard ids are only materialized for the imbalance gauge;
+      // otherwise each key's shard is chosen as it starts.
+      std::vector<uint32_t> shard_of;
+      {
+        obs::CollectedSpanScope fanout_span(
+            obs::RequestSpanKind::kShardFanout);
+        if (metrics_) {
+          std::vector<size_t> count;
+          CountShards(keys, n, &shard_of, &count);
         }
       }
+      obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+      Index::FindBatchOptimisticOver(
+          [&](uint32_t i) {
+            return &shards_[shard_of.empty() ? ShardOf(keys[i]) : shard_of[i]]
+                        ->index;
+          },
+          keys, n, out, &failed);
     }
-    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-    if (!grouped.empty()) {
-      ForEachSlice(
-          keys, n, shard_of, [&](size_t s) { return grouped[s] != 0; }, out,
-          [&](size_t s, const KeyType* skeys, size_t m,
-              std::optional<ValueType>* vals, const uint32_t* pos) {
-            std::vector<uint32_t> conflicted;
-            shards_[s]->index.FindBatchGroupedOptimistic(skeys, m, vals,
-                                                         &conflicted);
-            for (const uint32_t j : conflicted) failed.push_back(pos[j]);
-          });
-    }
-    Index::FindBatchOptimisticOver(
-        [&](uint32_t i) -> const Index* {
-          const size_t s = shard_of.empty() ? ShardOf(keys[i]) : shard_of[i];
-          return !grouped.empty() && grouped[s] != 0 ? nullptr
-                                                     : &shards_[s]->index;
-        },
-        keys, n, out, &failed);
     RetryFailed(keys, out, &failed);
   }
 
-  // Runs fn(s, slice_keys, m, slice_vals, pos) for every shard s with
-  // take(s) and keys in the batch: the shard's keys in caller order (a
-  // counting sort on shard_of), pos[j] the batch index of slice key j.
-  // The slices' values then scatter back to out.
-  template <typename Take, typename Fn>
+  // The smallest slice with which some shard takes the grouped descent
+  // (SIZE_MAX when every shard is empty).
+  size_t MinGroupedSlice() const {
+    size_t min = std::numeric_limits<size_t>::max();
+    for (const auto& shard : shards_) {
+      const int levels = OptimisticLevels(shard->index);
+      if (levels > 0) {
+        min = std::min(min, static_cast<size_t>(levels) *
+                                static_cast<size_t>(kGroupedMinBatchPerLevel));
+      }
+    }
+    return min;
+  }
+
+  // The optimistic pass over a sorted batch: sorted once
+  // (core/batch_sort.h) and cut at the splitters, since a shard's keys
+  // form one contiguous range of the sorted batch. A shard whose range
+  // clears UseGroupedDescent gets it, already ascending, through its
+  // grouped engine; the other shards' ranges share one interleaved
+  // pass. Answers land in sorted order and scatter back once, through
+  // the permutation; conflicted keys go to *failed by batch index.
+  void SortedOptimisticBatch(const KeyType* keys, size_t n,
+                             std::optional<ValueType>* out,
+                             std::vector<uint32_t>* failed) const {
+    const size_t num = shards_.size();
+    SortedBatch<KeyType> sorted;
+    // Shard s owns sorted keys [cut[s], cut[s + 1]); a key equal to a
+    // splitter goes right.
+    std::vector<uint32_t> cut(num + 1);
+    {
+      obs::CollectedSpanScope fanout_span(obs::RequestSpanKind::kShardFanout);
+      SortBatchWithPermutation(keys, n, &sorted);
+      cut[num] = static_cast<uint32_t>(n);
+      for (size_t s = 1; s < num; ++s) {
+        cut[s] = static_cast<uint32_t>(
+            std::lower_bound(sorted.keys.begin() + cut[s - 1],
+                             sorted.keys.end(), splitters_[s - 1]) -
+            sorted.keys.begin());
+      }
+      if (metrics_) {
+        uint32_t max_count = 0;
+        for (size_t s = 0; s < num; ++s) {
+          max_count = std::max(max_count, cut[s + 1] - cut[s]);
+        }
+        metrics_->shard_imbalance->Set(static_cast<double>(max_count * num) /
+                                       static_cast<double>(n));
+      }
+    }
+    obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+    const KeyType* skeys = sorted.keys.data();
+    std::vector<std::optional<ValueType>> vals(n);
+    std::vector<uint32_t> conflicted;  // sorted positions
+    std::vector<uint8_t> grouped(num, 0);
+    bool interleaved = false;
+    for (size_t s = 0; s < num; ++s) {
+      const uint32_t lo = cut[s], m = cut[s + 1] - cut[s];
+      if (m == 0) continue;
+      const Index& index = shards_[s]->index;
+      if (!UseGroupedDescent(m, OptimisticLevels(index))) {
+        interleaved = true;
+        continue;
+      }
+      grouped[s] = 1;
+      const size_t before = conflicted.size();
+      index.FindBatchGroupedOptimistic(skeys + lo, m, vals.data() + lo,
+                                       &conflicted);
+      for (size_t c = before; c < conflicted.size(); ++c) conflicted[c] += lo;
+    }
+    if (interleaved) {
+      Index::FindBatchOptimisticOver(
+          [&](uint32_t j) -> const Index* {
+            const size_t s = static_cast<size_t>(
+                std::upper_bound(cut.begin() + 1, cut.end(), j) -
+                (cut.begin() + 1));
+            return grouped[s] != 0 ? nullptr : &shards_[s]->index;
+          },
+          skeys, n, vals.data(), &conflicted);
+    }
+    for (const uint32_t j : conflicted) failed->push_back(sorted.perm[j]);
+    for (size_t j = 0; j < n; ++j) out[sorted.perm[j]] = std::move(vals[j]);
+  }
+
+  // Runs fn(s, slice_keys, m, slice_vals) for every shard s with keys in
+  // the batch: the shard's keys in caller order (a counting sort on
+  // shard_of). The slices' values then scatter back to out.
+  template <typename Fn>
   void ForEachSlice(const KeyType* keys, size_t n,
-                    const std::vector<uint32_t>& shard_of, Take take,
+                    const std::vector<uint32_t>& shard_of,
                     std::optional<ValueType>* out, Fn fn) const {
     const size_t num = shards_.size();
     std::vector<size_t> start(num + 1, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (take(shard_of[i])) ++start[shard_of[i] + 1];
-    }
+    for (size_t i = 0; i < n; ++i) ++start[shard_of[i] + 1];
     for (size_t s = 0; s < num; ++s) start[s + 1] += start[s];
-    std::vector<KeyType> skeys(start[num]);
-    std::vector<uint32_t> spos(start[num]);
+    std::vector<KeyType> skeys(n);
+    std::vector<uint32_t> spos(n);
     {
       std::vector<size_t> fill(start.begin(), start.end() - 1);
       for (size_t i = 0; i < n; ++i) {
-        if (!take(shard_of[i])) continue;
         const size_t at = fill[shard_of[i]]++;
         skeys[at] = keys[i];
         spos[at] = static_cast<uint32_t>(i);
       }
     }
-    std::vector<std::optional<ValueType>> vals(start[num]);
+    std::vector<std::optional<ValueType>> vals(n);
     for (size_t s = 0; s < num; ++s) {
       const size_t lo = start[s], hi = start[s + 1];
       if (lo == hi) continue;
-      fn(s, skeys.data() + lo, hi - lo, vals.data() + lo, spos.data() + lo);
+      fn(s, skeys.data() + lo, hi - lo, vals.data() + lo);
     }
-    for (size_t j = 0; j < spos.size(); ++j) out[spos[j]] = std::move(vals[j]);
+    for (size_t j = 0; j < n; ++j) out[spos[j]] = std::move(vals[j]);
   }
 
   // Rungs 2 and 3 for the batch keys the optimistic pass left in
@@ -643,9 +703,9 @@ class ShardedIndex {
     }
     obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
     ForEachSlice(
-        keys, n, shard_of, [](size_t) { return true; }, out,
+        keys, n, shard_of, out,
         [&](size_t s, const KeyType* skeys, size_t m,
-            std::optional<ValueType>* vals, const uint32_t*) {
+            std::optional<ValueType>* vals) {
           auto locked = [&](const Index& index, obs::DescentTrace* trace) {
             FindLocked(index, skeys, m, vals, trace);
           };

@@ -5,14 +5,16 @@
 // the seam that keeps it that way. The serving hot path is FindBatch:
 // the server hands over every read key of a connection's coalesced
 // pipeline in one call, and the adapter forwards to
-// ShardedIndex::FindBatch — shard-partitioned, one lock acquisition per
-// shard, grouped level-wise descent when the batch clears the
-// UseGroupedDescent heuristic. Single-key writes and lower-bound probes
-// map one to one.
+// ShardedIndex::FindBatch — one lock-free optimistic pass under one
+// epoch pin, each key starting at its own shard's root (a shard slice
+// that clears the UseGroupedDescent heuristic takes the grouped
+// level-wise descent), with shard locks only for the keys a writer kept
+// conflicting. Single-key writes and lower-bound probes map one to one.
 //
 // Thread safety: the server calls a backend from several worker threads
-// concurrently; ShardedKvBackend inherits ShardedIndex's per-shard
-// locking, so no extra synchronization is needed.
+// concurrently; ShardedKvBackend inherits ShardedIndex's concurrency
+// (lock-free reads, per-shard write locks), so no extra synchronization
+// is needed.
 
 #ifndef SIMDTREE_NET_BACKEND_H_
 #define SIMDTREE_NET_BACKEND_H_

@@ -211,14 +211,6 @@ class SegKeyStore {
     return nullptr;
   }
 
-  // Prefetches the key storage ahead of an UpperBound call (batch
-  // descent, see btree/batch_descent.h). Both linearizations place the
-  // root k-ary node — the first SIMD load of every search — at the front
-  // of the array, so one line covers the first comparison step.
-  void PrefetchKeys() const {
-    __builtin_prefetch(lin_, 0, 3);
-  }
-
   void InsertAt(int64_t pos, Key k) {
     assert(pos >= 0 && pos <= count_);
     assert(count_ < capacity());

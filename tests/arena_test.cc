@@ -157,7 +157,9 @@ TEST(ArenaTreeTest, TreeGrowsAcrossSlabsAndValidates) {
   EXPECT_GT(s.live_blocks, 300u);  // ~5000 keys / 16-key leaves
   EXPECT_GT(s.used_bytes, 0u);
   EXPECT_LE(s.used_bytes, s.reserved_bytes);
-  if (s.arena_mode) EXPECT_GT(s.slab_count, 2u);
+  if (s.arena_mode) {
+    EXPECT_GT(s.slab_count, 2u);
+  }
   for (const uint64_t k : keys) {
     auto v = tree.Find(k);
     ASSERT_TRUE(v.has_value());
@@ -175,7 +177,9 @@ TEST(ArenaTreeTest, EraseInsertChurnReusesFreedNodes) {
   for (size_t i = 0; i < keys.size(); i += 2) ASSERT_TRUE(tree.Erase(keys[i]));
   const ArenaStats mid = tree.MemStats();
   EXPECT_GT(mid.frees, 0u);
-  if (mid.arena_mode) EXPECT_GT(mid.free_list_blocks, 0u);
+  if (mid.arena_mode) {
+    EXPECT_GT(mid.free_list_blocks, 0u);
+  }
   for (size_t i = 0; i < keys.size(); i += 2) {
     tree.Insert(keys[i], keys[i]);
   }
@@ -266,7 +270,9 @@ TEST(ArenaTrieTest, TrieClearResetsByteArena) {
   for (uint64_t k = 0; k < 20000; ++k) ASSERT_TRUE(trie.Insert(k, k));
   const ArenaStats before = trie.MemStats();
   EXPECT_GT(before.allocs, 0u);
-  if (before.arena_mode) EXPECT_GT(before.slab_count, 0u);
+  if (before.arena_mode) {
+    EXPECT_GT(before.slab_count, 0u);
+  }
   trie.Clear();
   EXPECT_EQ(trie.size(), 0u);
   const ArenaStats after = trie.MemStats();

@@ -96,7 +96,9 @@ TEST(CompressedSegTrieTest, RandomModelSparse) {
     } else {
       ASSERT_EQ(t.Erase(k), model.erase(k) > 0);
     }
-    if (op % 512 == 0) ASSERT_TRUE(t.Validate());
+    if (op % 512 == 0) {
+      ASSERT_TRUE(t.Validate());
+    }
   }
   ASSERT_TRUE(t.Validate());
   ASSERT_EQ(t.size(), model.size());
@@ -118,7 +120,9 @@ TEST(CompressedSegTrieTest, RandomModelDense) {
     } else {
       ASSERT_EQ(t.Erase(k), model.erase(k) > 0);
     }
-    if (op % 512 == 0) ASSERT_TRUE(t.Validate());
+    if (op % 512 == 0) {
+      ASSERT_TRUE(t.Validate());
+    }
   }
   ASSERT_TRUE(t.Validate());
   ASSERT_EQ(t.size(), model.size());

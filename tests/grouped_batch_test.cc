@@ -357,6 +357,120 @@ TEST(GroupedTreeTest, SegTreeEvalAndBackendCombos) {
 #endif
 }
 
+// --- the grouped window: frontier sizes around kMaxInFlight ---------------
+//
+// The grouped descent runs each level's runs through a window of
+// kMaxInFlight (W) runs. Batches whose leaf level and the level above it
+// hold exactly 1, W - 1, W, W + 1 and 4W runs fill the window partly,
+// exactly, once over, and many times over. Every run ends on a leaf
+// boundary: its leaf lost its first key (a stale separator, so a find
+// steps into the previous leaf), and its last probe lies past the
+// leaf's last key (a lower bound steps into the next leaf). Runs carry a
+// duplicate probe, and run 0 the type minimum.
+
+template <typename TreeT>
+void CheckWindowFrontiers() {
+  using Key = typename TreeT::KeyType;
+  constexpr size_t kWindow =
+      static_cast<size_t>(btree::BatchDescent<typename TreeT::Base>::kMaxInFlight);
+  // Capacity 8: full leaves of 8 keys, inner nodes of 9 children; 9^4
+  // leaves, so the leaves at stride 9 chosen below have distinct parents.
+  constexpr int64_t kCap = 8;
+  constexpr size_t kLeaves = 9 * 9 * 9 * 9;
+  const auto key_at = [](size_t i) { return static_cast<Key>(3 * i); };
+  std::vector<Key> keys;
+  std::vector<uint64_t> values;
+  for (size_t i = 0; i < kLeaves * kCap; ++i) {
+    keys.push_back(key_at(i));
+    values.push_back(i);
+  }
+  TreeT tree = TreeT::BulkLoad(keys.data(), values.data(), keys.size(), 1.0,
+                               kCap);
+  Rng rng(97);
+  for (const size_t runs :
+       {size_t{1}, kWindow - 1, kWindow, kWindow + 1, 4 * kWindow}) {
+    SCOPED_TRACE(runs);
+    // Leaf l = 9r of run r holds keys key_at(8l .. 8l + 7).
+    std::vector<Key> probes = {std::numeric_limits<Key>::min()};
+    for (size_t r = 0; r < runs; ++r) {
+      const size_t first = 9 * r * kCap;
+      if (r > 0 && tree.Erase(key_at(first))) {
+        probes.push_back(key_at(first));  // erased: previous-leaf step
+      }
+      probes.push_back(static_cast<Key>(key_at(first) + 1));
+      probes.push_back(key_at(first + 4));
+      probes.push_back(key_at(first + 4));  // duplicate
+      probes.push_back(static_cast<Key>(key_at(first + kCap - 1) + 1));
+    }
+    ASSERT_TRUE(tree.Validate());
+    std::shuffle(probes.begin(), probes.end(), rng);
+    const size_t n = probes.size();
+
+    // The leaf level and the level above it hold one run per chosen leaf.
+    std::vector<const uint64_t*> found(n);
+    obs::DescentTrace trace;
+    tree.FindBatchGroupedTraced(probes.data(), n, found.data(), nullptr,
+                                &trace);
+    ASSERT_GE(trace.levels, 2);
+    EXPECT_EQ(trace.level[trace.levels - 1].node_ref, runs);
+    EXPECT_EQ(trace.level[trace.levels - 2].node_ref, runs);
+
+    std::vector<typename TreeT::ConstIterator> lbs(n);
+    tree.LowerBoundBatchGrouped(probes.data(), n, lbs.data());
+    size_t steps = 0;
+    const int height = tree.height();
+    for (size_t i = 0; i < n; ++i) {
+      const auto want = tree.Find(probes[i]);
+      ASSERT_EQ(found[i] != nullptr, want.has_value()) << "i=" << i;
+      if (want.has_value()) {
+        ASSERT_EQ(*found[i], *want) << "i=" << i;
+      }
+      const auto want_it = tree.LowerBoundIter(probes[i]);
+      ASSERT_TRUE(lbs[i] == want_it) << "i=" << i;
+      SearchCounters c;
+      tree.FindCounted(probes[i], &c);
+      if (c.nodes_visited > static_cast<uint64_t>(height)) ++steps;
+    }
+    if (runs > 1) {
+      EXPECT_GT(steps, 0u);
+    }
+
+    SearchCounters want_c, got_c, lb_grouped, lb_pipe;
+    for (const Key p : probes) tree.FindCounted(p, &want_c);
+    tree.FindBatchGrouped(probes.data(), n, found.data(), &got_c);
+    EXPECT_EQ(got_c.nodes_visited, want_c.nodes_visited);
+    tree.LowerBoundBatchGrouped(probes.data(), n, lbs.data(), &lb_grouped);
+    tree.LowerBoundBatch(probes.data(), n, lbs.data(), kDefaultBatchGroup,
+                         &lb_pipe);
+    EXPECT_EQ(lb_grouped.nodes_visited, lb_pipe.nodes_visited);
+
+    if (tree.EnableConcurrentReads()) {
+      olc::EpochGuard pin;
+      std::vector<std::optional<uint64_t>> opt(n);
+      std::vector<uint32_t> failed;
+      tree.FindBatchGroupedOptimistic(probes.data(), n, opt.data(), &failed);
+      EXPECT_TRUE(failed.empty());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(opt[i], tree.Find(probes[i])) << "i=" << i;
+      }
+    }
+  }
+}
+
+TEST(GroupedWindowTest, PlainBPlusTree) {
+  CheckWindowFrontiers<btree::BPlusTree<uint32_t, uint64_t>>();
+}
+
+TEST(GroupedWindowTest, SegTreeBreadthFirst) {
+  CheckWindowFrontiers<
+      segtree::SegTree<uint32_t, uint64_t, Layout::kBreadthFirst>>();
+}
+
+TEST(GroupedWindowTest, SegTreeDepthFirstSigned) {
+  CheckWindowFrontiers<
+      segtree::SegTree<int64_t, uint64_t, Layout::kDepthFirst>>();
+}
+
 // --- Seg-Trie FindBatchGrouped --------------------------------------------
 
 template <typename TrieT>
@@ -402,7 +516,9 @@ void CheckTrieGrouped() {
         ASSERT_EQ(out[i] != nullptr, want.has_value())
             << "batch=" << batch << " order=" << static_cast<int>(order)
             << " i=" << i;
-        if (want.has_value()) ASSERT_EQ(*out[i], *want) << "i=" << i;
+        if (want.has_value()) {
+          ASSERT_EQ(*out[i], *want) << "i=" << i;
+        }
       }
       // Full logical cost parity with summed counted singles.
       SearchCounters want_c;
@@ -458,7 +574,9 @@ void CheckSynchronizedGrouped() {
       const auto want = index.Find(probes[i]);
       ASSERT_EQ(out[i].has_value(), want.has_value())
           << "batch=" << batch << " i=" << i;
-      if (want.has_value()) ASSERT_EQ(*out[i], *want) << "i=" << i;
+      if (want.has_value()) {
+        ASSERT_EQ(*out[i], *want) << "i=" << i;
+      }
     }
   }
 }
@@ -490,7 +608,9 @@ void CheckShardedGrouped(size_t shards) {
       const auto want = index.Find(probes[i]);
       ASSERT_EQ(out[i].has_value(), want.has_value())
           << "shards=" << shards << " batch=" << batch << " i=" << i;
-      if (want.has_value()) ASSERT_EQ(*out[i], *want) << "i=" << i;
+      if (want.has_value()) {
+        ASSERT_EQ(*out[i], *want) << "i=" << i;
+      }
     }
   }
 }
@@ -505,6 +625,60 @@ TEST(GroupedDispatchTest, ShardedSegTreeSingleShardFastPath) {
 
 TEST(GroupedDispatchTest, ShardedSegTrie) {
   CheckShardedGrouped<segtrie::SegTrie<uint64_t, uint64_t>>(4);
+}
+
+// The sort-once split: ShardedIndex sorts a batch that can reach some
+// shard's grouped threshold once and cuts it at the splitters. Equal
+// adjacent splitters leave shards empty; probes equal to a splitter
+// belong to the shard on its right; one batch holds a slice above its
+// shard's grouped threshold next to slices below theirs.
+TEST(GroupedDispatchTest, ShardedSortOnceSplit) {
+  using Tree = segtree::SegTree<uint32_t, uint64_t>;
+  const std::vector<uint32_t> splitters = {1000, 2000, 2000, 3000,
+                                           5000, 5000, 9000};
+  ShardedIndex<Tree> index(8, splitters);
+  for (uint32_t k = 0; k < 12000; k += 2) index.Insert(k, k * 7 + 1);
+  for (int i = 0; i < 5; ++i) index.Insert(3000, 900 + i);  // duplicates
+  const size_t grouped_at =
+      index.WithShardRead(0, [](const Tree& t) {
+        return static_cast<size_t>(t.height_hint()) * kGroupedMinBatchPerLevel;
+      });
+  Rng rng(59);
+  for (const size_t cluster : {size_t{0}, grouped_at - 1, grouped_at,
+                               2 * grouped_at}) {
+    SCOPED_TRACE(cluster);
+    std::vector<uint32_t> probes;
+    // Shard 0's cluster: the grouped engine once it reaches grouped_at.
+    for (size_t i = 0; i < cluster; ++i) {
+      probes.push_back(static_cast<uint32_t>(rng.NextBounded(1000)));
+    }
+    // Every splitter and its neighbours, duplicated.
+    for (const uint32_t sp : splitters) {
+      for (const uint32_t q : {sp - 1, sp, sp, sp + 1}) probes.push_back(q);
+    }
+    // A few keys on every shard, and past the last key.
+    for (int i = 0; i < 40; ++i) {
+      probes.push_back(static_cast<uint32_t>(rng.NextBounded(12100)));
+    }
+    probes.push_back(std::numeric_limits<uint32_t>::max());
+    probes.push_back(0);
+    std::shuffle(probes.begin(), probes.end(), rng);
+    std::vector<size_t> slice(index.num_shards());
+    for (const uint32_t q : probes) ++slice[index.ShardOf(q)];
+    EXPECT_EQ(slice[2] + slice[5], 0u);  // the empty shards
+    if (cluster >= grouped_at) {
+      // Shard 0 goes grouped, shard 3 interleaved, in one batch.
+      EXPECT_GE(slice[0], grouped_at);
+      EXPECT_GT(slice[3], 0u);
+      EXPECT_LT(slice[3], grouped_at);
+    }
+    std::vector<std::optional<uint64_t>> out(probes.size(),
+                                             std::optional<uint64_t>(1));
+    index.FindBatch(probes.data(), probes.size(), out.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      ASSERT_EQ(out[i], index.Find(probes[i])) << "probe " << probes[i];
+    }
+  }
 }
 
 // The heuristic itself: monotone in n, gated on levels.

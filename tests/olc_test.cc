@@ -17,6 +17,7 @@
 
 #include "btree/btree.h"
 #include "core/olc.h"
+#include "core/sharded.h"
 #include "gtest/gtest.h"
 #include "kary/layout.h"
 #include "mem/arena.h"
@@ -455,6 +456,170 @@ TEST(RouteThenEnter, ScanRangeOptimisticDeliversEveryPairOnce) {
       locked.emplace_back(k, v);
     });
     EXPECT_EQ(got, locked);
+  }
+}
+
+// --- a writer inside an entered node ----------------------------------------
+//
+// The grouped descent enters a run's node on one turn and ends the run's
+// use of it turns later, once the window has come round (its search of
+// the run's first query takes a turn per key line). WriterInNode runs a
+// writer in exactly that span, once: the first time a reader has entered
+// a node of the armed level (EnterNode's Entered hook). The library's
+// own Optimistic protocol leaves the hook empty.
+
+struct WriterInNode : btree::Optimistic {
+  static inline bool at_leaf = false;
+  static inline std::function<void()> writer;
+  static void Entered(bool leaf) {
+    if (leaf == at_leaf && writer) std::exchange(writer, nullptr)();
+  }
+};
+
+using SegTree64 = segtree::SegTree<uint64_t, uint64_t>;
+
+// Keys 0, 2, ..., 126 in full capacity-8 leaves [0..14] [16..30] ...
+// under one root (height 2); 20 erased, so the second leaf has room.
+SegTree64 EnteredWindowTree() {
+  std::vector<uint64_t> keys, values;
+  for (uint64_t k = 0; k < 128; k += 2) {
+    keys.push_back(k);
+    values.push_back(ValueOf(k));
+  }
+  SegTree64 tree = SegTree64::BulkLoad(keys.data(), values.data(),
+                                       keys.size(), 1.0, /*capacity=*/8);
+  EXPECT_TRUE(tree.Erase(20));
+  return tree;
+}
+
+// Inner level: the writer splits the full third leaf [32..46] under the
+// root the reader has entered, inserting a separator into the middle of
+// the root's linearized keys; every run of the batch routes through the
+// root, so all keys conflict once. Leaf level: a relinearizing insert
+// into the first leaf entered, [16..30] (not its largest key, so the
+// Seg-Tree store rebuilds its layout); that leaf's run conflicts and the
+// other leaves' runs commit.
+struct EnteredCase {
+  const char* name;
+  bool at_leaf;
+  uint64_t insert;
+};
+const EnteredCase kEnteredCases[] = {{"inner", false, 33},
+                                     {"leaf", true, 21}};
+
+TEST(EnteredThenWrite, GroupedRunConflictsOnceAndMatchesLockedFind) {
+  for (const EnteredCase& c : kEnteredCases) {
+    SCOPED_TRACE(c.name);
+    SegTree64 tree = EnteredWindowTree();
+    if (!tree.EnableConcurrentReads()) GTEST_SKIP() << "arena disabled";
+    ASSERT_EQ(tree.height(), 2);
+    WriterInNode::at_leaf = c.at_leaf;
+    WriterInNode::writer = [&tree, &c] {
+      tree.Insert(c.insert, ValueOf(c.insert));
+    };
+    olc::EpochGuard pin;
+    // Runs in leaves [16..30], [32..46] and [64..78].
+    const std::vector<uint64_t> keys = {18, 19, 30, 36, 44, 44, 64, 71};
+    std::vector<std::optional<uint64_t>> out(keys.size());
+    std::vector<uint32_t> failed;
+    tree.FindBatchGroupedOptimistic<WriterInNode>(keys.data(), keys.size(),
+                                                  out.data(), &failed);
+    EXPECT_FALSE(WriterInNode::writer) << "writer never ran";
+    std::sort(failed.begin(), failed.end());
+    const std::vector<uint32_t> want_failed =
+        c.at_leaf ? std::vector<uint32_t>{0, 1, 2}
+                  : std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7};
+    EXPECT_EQ(failed, want_failed);
+    failed.clear();
+    tree.FindBatchGroupedOptimistic<WriterInNode>(keys.data(), keys.size(),
+                                                  out.data(), &failed);
+    EXPECT_TRUE(failed.empty());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(out[i], tree.Find(keys[i])) << "key " << keys[i];
+    }
+    EXPECT_TRUE(tree.Find(c.insert).has_value());
+    EXPECT_TRUE(tree.Validate());
+  }
+}
+
+// The same writers through ShardedIndex::FindBatch: a tree whose grouped
+// engine runs under WriterInNode and counts its calls, so the test can
+// assert that shard 0's slice, above its grouped threshold, reached the
+// grouped engine (cut from the batch sorted once), while shard 1's small
+// slice took the interleaved pass. The conflicted run's keys each enter
+// olc.read_retries once, their retry succeeds, and no lock is taken.
+struct EnteredHookTree : SegTree64 {
+  static inline int grouped_calls = 0;
+  void FindBatchGroupedOptimistic(const uint64_t* keys, size_t n,
+                                  std::optional<uint64_t>* out,
+                                  std::vector<uint32_t>* failed) const {
+    ++grouped_calls;
+    SegTree64::FindBatchGroupedOptimistic<WriterInNode>(keys, n, out, failed);
+  }
+};
+
+TEST(EnteredThenWrite, ShardedGroupedSliceConflictsOnceAndMatchesLockedFind) {
+  constexpr uint64_t kSplit = 1u << 20;
+  for (const EnteredCase& c : kEnteredCases) {
+    SCOPED_TRACE(c.name);
+    ShardedIndex<EnteredHookTree> index(2, {kSplit});
+    // Shard 0: 4000 even keys, height 2; shard 1: 50 keys, one leaf.
+    for (uint64_t k = 0; k < 8000; k += 2) index.Insert(k, ValueOf(k));
+    for (uint64_t k = kSplit; k < kSplit + 100; k += 2) {
+      index.Insert(k, ValueOf(k));
+    }
+    const int height =
+        index.WithShardRead(0, [](const SegTree64& t) { return t.height(); });
+    ASSERT_EQ(height, 2);
+    // 400 keys of shard 0 (from 1000 on, odd ones miss) and 10 of
+    // shard 1, interleaved in caller order.
+    std::vector<uint64_t> keys;
+    for (uint64_t i = 0; i < 400; ++i) {
+      keys.push_back(1000 + 3 * i);
+      if (i % 40 == 0) keys.push_back(kSplit + 2 * (i / 40));
+    }
+    ASSERT_GE(400u, static_cast<size_t>(height) * kGroupedMinBatchPerLevel);
+    // Inner: 300 appends past shard 0's last key, more than a leaf
+    // holds, so the last leaf splits under the root. Leaf: a
+    // relinearizing insert into the first leaf the batch enters.
+    WriterInNode::at_leaf = c.at_leaf;
+    WriterInNode::writer = [&index, &c] {
+      if (c.at_leaf) {
+        index.Insert(1001, ValueOf(1001));
+      } else {
+        for (uint64_t k = 8001; k < 8001 + 2 * 300; k += 2) {
+          index.Insert(k, ValueOf(k));
+        }
+      }
+    };
+    const obs::OlcMetrics m = obs::OlcMetrics::Register();
+    const uint64_t r0 = m.read_retries->Get();
+    const uint64_t f0 = m.fallback_acquisitions->Get();
+    EnteredHookTree::grouped_calls = 0;
+    std::vector<std::optional<uint64_t>> out(keys.size());
+    index.FindBatch(keys.data(), keys.size(), out.data());
+    const uint64_t retries = m.read_retries->Get() - r0;
+    if (!index.WithShardRead(
+            0, [](const SegTree64& t) { return t.concurrent_reads_enabled(); })) {
+      WriterInNode::writer = nullptr;
+      GTEST_SKIP() << "optimistic reads not armed";
+    }
+    EXPECT_EQ(EnteredHookTree::grouped_calls, 1);
+    EXPECT_FALSE(WriterInNode::writer) << "writer never ran";
+    EXPECT_EQ(m.fallback_acquisitions->Get(), f0);
+    if (c.at_leaf) {
+      EXPECT_GT(retries, 0u);
+      EXPECT_LT(retries, 400u);
+    } else {
+      EXPECT_EQ(retries, 400u);  // the whole slice, once
+    }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const size_t s = index.ShardOf(keys[i]);
+      const auto locked = index.WithShardRead(
+          s, [&](const SegTree64& t) { return t.Find(keys[i]); });
+      EXPECT_EQ(out[i], locked) << "key " << keys[i];
+    }
+    EXPECT_TRUE(index.Validate());
   }
 }
 

@@ -439,7 +439,9 @@ TYPED_TEST(DescentParityTest, AllThreeDescentsAgree) {
       }
     }
     if constexpr (Case::kStepsIntoPreviousLeaf) {
-      if (!empty) EXPECT_GT(prev_leaf_steps, 0u);
+      if (!empty) {
+        EXPECT_GT(prev_leaf_steps, 0u);
+      }
     }
   };
   check_all(/*empty=*/true);
