@@ -266,9 +266,9 @@ void MeasureGrouped(TablePrinter* table, const char* name,
     }
     return fold();
   };
-  // Interleaved min-of-rounds (as in bb_trace_overhead): one point's
-  // three engines alternate within each round, so frequency drift and
-  // container noise hit all of them instead of whichever ran last.
+  // Interleaved min-of-rounds: one point's three engines alternate
+  // within each round, so frequency drift and container noise hit all
+  // of them instead of whichever ran last.
   constexpr int kRounds = 5;
   double pipe_cycles = 0.0, grouped_cycles = 0.0, auto_cycles = 0.0;
   for (int round = 0; round < kRounds; ++round) {

@@ -45,8 +45,8 @@
 // request tracer disarmed vs armed (head sampling + a slow threshold no
 // request breaches — the tail-sampling steady state). Modes interleave
 // round-robin for --reps rounds and each mode's fastest round counts
-// (min-of-rounds, like bb_trace_overhead), emitting span_overhead_pct —
-// the number EXPERIMENTS.md records against the <= 2% bar.
+// (min-of-rounds), emitting span_overhead_pct — the number
+// EXPERIMENTS.md records against the <= 2% bar.
 
 #include <atomic>
 #include <chrono>

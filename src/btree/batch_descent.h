@@ -25,8 +25,8 @@
 //     of one type (FindBatchOptimisticOver: the shards of a
 //     ShardedIndex), each starting at its own tree's root;
 //   * the grouped (level-wise) descent (FindBatchGrouped,
-//     LowerBoundBatchGrouped, FindBatchGroupedTraced and
-//     FindBatchGroupedOptimistic — one frontier walk and one leaf pass)
+//     LowerBoundBatchGrouped and FindBatchGroupedOptimistic — one
+//     frontier walk and one leaf pass)
 //     sorts the batch once and visits each node once per batch — the
 //     winner once a batch is large against the tree depth
 //     (UseGroupedDescent, core/batch.h). Each level's runs go through a
@@ -66,14 +66,28 @@
 
 namespace simdtree::btree {
 
-// Per-level observations of one grouped descent, feeding the trace hook:
-// how many distinct nodes the frontier visited at each level and how long
-// the level took. nodes[l] == batch size means no sharing; nodes[l] == 1
-// means the whole batch shared one node.
+// Per-level observations of one grouped descent, feeding a request
+// trace's descent section: how many distinct nodes the frontier visited
+// at each level and how long the level took. nodes[l] == batch size
+// means no sharing; nodes[l] == 1 means the whole batch shared one node.
 struct GroupedLevelStats {
   int levels = 0;
+  uint8_t backend = static_cast<uint8_t>(obs::TraceBackend::kUnknown);
+  uint8_t layout = obs::kTraceLayoutPlain;  // the root's key-store layout
   uint32_t nodes[obs::kMaxTraceLevels] = {};
   uint64_t cycles[obs::kMaxTraceLevels] = {};
+
+  // The levels as a descent trace's spans: node_ref holds the level's
+  // node count and group_size the `batch` queries sharing the level.
+  void AppendTo(obs::DescentTrace* t, size_t batch) const {
+    t->backend = backend;
+    const uint16_t group =
+        batch > 0xffff ? uint16_t{0xffff} : static_cast<uint16_t>(batch);
+    for (int l = 0; l < levels; ++l) {
+      obs::AppendTraceLevel(t, nodes[l], layout, obs::kTraceSlabUnknown,
+                            SearchCounters{}, cycles[l], group);
+    }
+  }
 };
 
 // Read protocols of the descents. Plain trusts what it reads (the caller
@@ -229,6 +243,12 @@ class BatchDescent {
       std::fill(out, out + n, Out{});
       return;
     }
+    if (stats != nullptr) {
+      // Every node of one tree shares its pool's key-store context, so
+      // the validated root's layout is the tree's.
+      stats->backend = static_cast<uint8_t>(KeyStore::kTraceBackend);
+      stats->layout = LayoutId(root.node);
+    }
     // Sorted query j is the caller's perm[j], or j when the batch came
     // sorted.
     SortedBatch<Key> sorted;
@@ -248,34 +268,6 @@ class BatchDescent {
                                   fail);
     ResolveRuns<Protocol, kLower>(tree, keys, perm, frontier, out, counters,
                                   stats, fail);
-  }
-
-  // Traced grouped lookup: identical results to the Plain grouped find, plus
-  // one trace whose per-level spans record the level's distinct
-  // node-visit count (node_ref) and the batch size sharing the level
-  // (group_size) — the flight-recorder view of the amortization.
-  static void FindBatchGroupedTraced(const Tree& tree, const Key* keys,
-                                     size_t n, const Value** out,
-                                     SearchCounters* counters,
-                                     obs::DescentTrace* t) {
-    GroupedLevelStats stats;
-    Grouped<Plain, false>(tree, keys, n, out, counters, &stats, nullptr);
-    if (n == 0 || tree.root_ == nullptr) return;
-    t->batched = 1;
-    t->key = static_cast<uint64_t>(
-        static_cast<std::make_unsigned_t<Key>>(keys[0]));
-    t->found = out[0] != nullptr ? 1 : 0;
-    const uint8_t layout_id = RootLayoutId(tree);
-    t->backend = static_cast<uint8_t>(layout_id == 0
-                                          ? obs::TraceBackend::kBPlusTree
-                                          : obs::TraceBackend::kSegTree);
-    const uint16_t group_size =
-        n > 0xffff ? uint16_t{0xffff} : static_cast<uint16_t>(n);
-    for (int l = 0; l < stats.levels; ++l) {
-      obs::AppendTraceLevel(t, stats.nodes[l], layout_id,
-                            obs::kTraceSlabUnknown, SearchCounters{},
-                            stats.cycles[l], group_size);
-    }
   }
 
  private:
@@ -572,12 +564,10 @@ class BatchDescent {
     ++stats->levels;
   }
 
-  static uint8_t RootLayoutId(const Tree& tree) {
-    return tree.root_->is_leaf
-               ? static_cast<const LeafNode*>(tree.root_)
-                     ->keys.TraceLayoutId()
-               : static_cast<const InnerNode*>(tree.root_)
-                     ->keys.TraceLayoutId();
+  static uint8_t LayoutId(const NodeBase* node) {
+    return node->is_leaf
+               ? static_cast<const LeafNode*>(node)->keys.TraceLayoutId()
+               : static_cast<const InnerNode*>(node)->keys.TraceLayoutId();
   }
 
   static uint32_t CallerIndex(const uint32_t* perm, uint32_t j) {

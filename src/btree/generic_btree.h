@@ -302,8 +302,8 @@ class GenericBPlusTree {
   }
 
   // Find, also recording a descent trace (obs/trace.h): one level span
-  // per node searched, plus the key, backend and found flag. The
-  // sampling wrapper (core/sharded.h) routes 1-in-N queries here.
+  // per node searched, plus the key, backend and found flag. An armed
+  // request trace's fallback rung (core/sharded.h) reads here.
   std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
     return FindObserved(key, descent::Trace{t});
   }
@@ -349,15 +349,6 @@ class GenericBPlusTree {
                         SearchCounters* counters = nullptr) const {
     Batch::template Grouped<Plain, false>(*this, keys, n, out, counters,
                                           nullptr, nullptr);
-  }
-
-  // FindBatchGrouped plus a grouped-descent trace: one LevelSpan per
-  // tree level recording the level's distinct node-visit count and the
-  // batch size sharing it.
-  void FindBatchGroupedTraced(const Key* keys, size_t n, const Value** out,
-                              SearchCounters* counters,
-                              obs::DescentTrace* t) const {
-    Batch::FindBatchGroupedTraced(*this, keys, n, out, counters, t);
   }
 
   // Grouped batched lower bound: out[i] = LowerBoundIter(keys[i]) with
@@ -429,13 +420,17 @@ class GenericBPlusTree {
 
   // One optimistic descent. On kOk, *out holds the value of some
   // occurrence of `key` (nullopt when absent). Protocol is Optimistic or
-  // a test protocol derived from it.
-  template <typename Protocol = Optimistic>
-  olc::ReadResult FindOptimistic(Key key, std::optional<Value>* out) const {
+  // a test protocol derived from it. The observer watches the attempt as
+  // it watches Find (core/descent_observer.h); a conflicted attempt's
+  // observations are the caller's to discard.
+  template <typename Protocol = Optimistic,
+            typename Observer = descent::None>
+  olc::ReadResult FindOptimistic(Key key, std::optional<Value>* out,
+                                 Observer o = {}) const {
     olc::TsanIgnoreReadsScope tsan;
     LeafPos found;
     Value value{};
-    if (!FindLeafPos<Protocol>(key, descent::None{}, &found, &value)) {
+    if (!FindLeafPos<Protocol>(key, o, &found, &value)) {
       return olc::ReadResult::kConflict;
     }
     *out = found.leaf != nullptr ? std::optional<Value>(std::move(value))
@@ -465,14 +460,24 @@ class GenericBPlusTree {
         tree_of, keys, n, out, Batch::kMaxInFlight, nullptr, failed);
   }
   // The level-wise form: each frontier node is entered and validated
-  // once for its whole sorted run.
+  // once for its whole sorted run. A non-null `t` gets the pass's
+  // per-level record (GroupedLevelStats, batch_descent.h): per level the
+  // distinct nodes loaded and the queries sharing them, keyed by the
+  // batch's first key and whether this pass found it.
   template <typename Protocol = Optimistic>
   void FindBatchGroupedOptimistic(const Key* keys, size_t n,
                                   std::optional<Value>* out,
-                                  std::vector<uint32_t>* failed) const {
+                                  std::vector<uint32_t>* failed,
+                                  obs::DescentTrace* t = nullptr) const {
     olc::TsanIgnoreReadsScope tsan;
-    Batch::template Grouped<Protocol, false>(*this, keys, n, out, nullptr,
-                                             nullptr, failed);
+    GroupedLevelStats stats;
+    Batch::template Grouped<Protocol, false>(
+        *this, keys, n, out, nullptr, t != nullptr ? &stats : nullptr, failed);
+    if (t == nullptr || n == 0) return;
+    t->key = static_cast<uint64_t>(
+        static_cast<std::make_unsigned_t<Key>>(keys[0]));
+    t->found = out[0].has_value() ? 1 : 0;
+    stats.AppendTo(t, n);
   }
 
   // One optimistic attempt at a range scan, delivering pairs through

@@ -50,12 +50,17 @@
 //   3. take a shard's shared lock once for whatever is left on it.
 // Bounding the retries is also the writer-starvation fix: glibc's rwlock
 // is reader-preferring, and with OLC readers rarely touch it, so writers
-// acquire the exclusive lock promptly. A sampled trace (obs/trace.h)
-// goes straight to rung 3, so it records the lock wait and the traced
-// per-level descent. Indexes without the optimistic reads (tries,
-// heap-mode trees) and SIMDTREE_FORCE_SHARD_LOCKS=1 use rung 3 alone.
-// Conflict and fallback volume is exported as the olc.* counters
-// (obs/metrics.h).
+// acquire the exclusive lock promptly. Indexes without the optimistic
+// reads (tries, heap-mode trees) and SIMDTREE_FORCE_SHARD_LOCKS=1 use
+// rung 3 alone. Conflict and fallback volume is exported as the olc.*
+// counters (obs/metrics.h).
+//
+// A read under an armed request trace (obs/request_trace.h) climbs the
+// same ladder. It marks its spans into the thread's SpanCollector and
+// fills the collector's descent section on the rung that answers: a
+// single-key read the levels of its answering attempt (a conflicted
+// attempt's levels are discarded), a grouped pass its per-level record,
+// rung 3 its lock wait. An interleaved batch records spans only.
 
 #ifndef SIMDTREE_CORE_SHARDED_H_
 #define SIMDTREE_CORE_SHARDED_H_
@@ -77,6 +82,7 @@
 
 #include "core/batch.h"
 #include "core/batch_sort.h"
+#include "core/descent_observer.h"
 #include "core/olc.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
@@ -85,18 +91,6 @@
 #include "util/cycle_timer.h"
 
 namespace simdtree {
-
-// Indexes whose grouped batch descent records a per-level trace (the
-// B+-tree family, btree/batch_descent.h): one span per level with the
-// nodes it loaded and the batch size sharing them. A sampled grouped
-// batch on any other index is traced through its first key.
-template <typename Index>
-concept HasGroupedTrace =
-    requires(const Index& index, const typename Index::KeyType* keys,
-             size_t n, const typename Index::ValueType** out,
-             obs::DescentTrace* t) {
-      index.FindBatchGroupedTraced(keys, n, out, nullptr, t);
-    };
 
 template <typename Index>
 class ShardedIndex {
@@ -210,7 +204,7 @@ class ShardedIndex {
 
   std::optional<ValueType> Find(KeyType key) const {
     if (metrics_) metrics_->reads->Add();
-    return FindIn(ShardOf(key), key, /*batched=*/false);
+    return FindIn(ShardOf(key), key);
   }
 
   bool Contains(KeyType key) const { return Find(key).has_value(); }
@@ -228,9 +222,8 @@ class ShardedIndex {
   // are copies, so the results stay valid after concurrent writers
   // proceed. One key costs what Find costs. With lock-free reads armed,
   // one optimistic pass under one epoch pin serves the whole batch
-  // (OptimisticBatch); otherwise, and for a sampled batch, each shard's
-  // slice is read under its shared lock (LockedBatch). A sampled batch
-  // records one trace, attributed to its first key.
+  // (OptimisticBatch); otherwise each shard's slice is read under its
+  // shared lock (LockedBatch).
   void FindBatch(const KeyType* keys, size_t n,
                  std::optional<ValueType>* out) const {
     if (n == 0) return;
@@ -251,26 +244,22 @@ class ShardedIndex {
         metrics_->shard_imbalance->Set(static_cast<double>(shards_.size()));
       }
       obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-      out[0] = FindIn(s, keys[0], /*batched=*/true);
+      out[0] = FindIn(s, keys[0]);
       return;
     }
-    if (obs::TraceShouldSample()) [[unlikely]] {
-      auto read = [&](obs::DescentTrace* t) { LockedBatch(keys, n, out, t); };
-      Traced(ShardOf(keys[0]), read);
-      return;
-    }
+    [[maybe_unused]] obs::DescentTrace* t = obs::BeginCollectedDescent();
     if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
       if (olc_enabled_) {
         olc::EpochGuard epoch;
         // An exhausted epoch registry (256+ reader threads) sends the
         // batch to the locks without counting a fallback.
         if (epoch.pinned()) {
-          OptimisticBatch(keys, n, out);
+          OptimisticBatch(keys, n, out, t);
           return;
         }
       }
     }
-    LockedBatch(keys, n, out, nullptr);
+    LockedBatch(keys, n, out);
   }
 
   // Merged arena occupancy across all shards (all-zero when the index
@@ -303,7 +292,7 @@ class ShardedIndex {
       KeyType resume = lo;
       uint32_t skip = 0;
       ReadShard(
-          s, nullptr,
+          s,
           [&](const auto& index) -> size_t {
             return index.ScanRangeOptimistic(
                        hi, hi_inclusive, &resume, &skip,
@@ -312,7 +301,7 @@ class ShardedIndex {
                        ? 0
                        : 1;
           },
-          [&](const Index& index, obs::DescentTrace*) {
+          [&](const Index& index) {
             uint32_t seen = 0;
             index.ScanRange(
                 resume, hi,
@@ -387,55 +376,44 @@ class ShardedIndex {
     }
   }
 
-  // A sampled read: read(trace) inside one trace scope, stamped with
-  // the shard that serves the read (for a batch, its first key's).
-  template <typename Read>
-  static void Traced(size_t shard, Read& read) {
-    obs::TraceScope scope;
-    scope.trace()->shard = static_cast<uint16_t>(shard);
-    read(scope.trace());
-    scope.Finish();
-  }
-
-  // Find's body: the read ladder of shard s for one key. A one-key
-  // FindBatch marks its trace as batched.
-  std::optional<ValueType> FindIn(size_t s, KeyType key, bool batched) const {
+  // Find's body: the read ladder of shard s for one key. Under an armed
+  // request trace, the answering attempt's levels fill the descent
+  // section.
+  std::optional<ValueType> FindIn(size_t s, KeyType key) const {
     std::optional<ValueType> out;
-    auto read = [&](obs::DescentTrace* t) {
-      ReadShard(
-          s, t,
-          [&](const auto& index) -> size_t {
-            return index.FindOptimistic(key, &out) == olc::ReadResult::kOk
-                       ? 0
-                       : 1;
-          },
-          [&](const Index& index, obs::DescentTrace* trace) {
-            if (trace == nullptr) {
-              out = index.Find(key);
-              return;
-            }
-            trace->batched = batched ? 1 : 0;
-            out = index.FindTraced(key, trace);
-          });
-    };
-    if (obs::TraceShouldSample()) [[unlikely]] {
-      Traced(s, read);
-    } else {
-      read(nullptr);
-    }
+    obs::DescentTrace* t = obs::BeginCollectedDescent();
+    if (t != nullptr) t->shard = static_cast<uint16_t>(s);
+    ReadShard(
+        s,
+        [&](const auto& index) -> size_t {
+          olc::ReadResult r;
+          if (t == nullptr) {
+            r = index.FindOptimistic(key, &out);
+          } else {
+            t->levels = 0;  // drop a conflicted attempt's levels
+            r = index.FindOptimistic(key, &out, descent::Trace{t});
+          }
+          return r == olc::ReadResult::kOk ? 0 : 1;
+        },
+        [&](const Index& index) {
+          if (t == nullptr) {
+            out = index.Find(key);
+            return;
+          }
+          t->levels = 0;
+          out = index.FindTraced(key, t);
+        });
     return out;
   }
 
   // The read ladder of shard s (see the class comment). attempt(index)
   // makes one optimistic pass and returns how many of its reads a
-  // writer invalidated; locked(index, t) finishes the read under the
-  // shared lock, tracing it into `t` when non-null. A sampled read (`t`)
-  // skips the optimistic rungs.
+  // writer invalidated; locked(index) finishes the read under the
+  // shared lock.
   template <typename Attempt, typename Locked>
-  void ReadShard(size_t s, obs::DescentTrace* t, Attempt attempt,
-                 Locked locked) const {
+  void ReadShard(size_t s, Attempt attempt, Locked locked) const {
     if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (olc_enabled_ && t == nullptr) {
+      if (olc_enabled_) {
         olc::EpochGuard epoch;
         // An exhausted epoch registry (256+ reader threads) sends the
         // read to the lock without counting a fallback.
@@ -449,22 +427,24 @@ class ShardedIndex {
         }
       }
     }
-    LockedRead(s, t, locked);
+    LockedRead(s, locked);
   }
 
-  // Rung 3: locked(index, t) under shard s's shared lock, recording the
-  // lock wait into a sampled trace and the hold time into the metrics.
+  // Rung 3: locked(index) under shard s's shared lock, recording the hold
+  // time into the metrics and, under an armed request trace, the lock
+  // wait into the descent section.
   template <typename Locked>
-  void LockedRead(size_t s, obs::DescentTrace* t, Locked& locked) const {
+  void LockedRead(size_t s, Locked& locked) const {
     const Shard& shard = *shards_[s];
-    const uint64_t lock_start = t != nullptr ? CycleTimer::Now() : 0;
+    obs::SpanCollector* c = obs::ActiveSpanCollector();
+    const uint64_t lock_start = c != nullptr ? CycleTimer::Now() : 0;
     std::shared_lock lock(shard.mutex);
-    if (t != nullptr) {
-      t->lock_wait_ns = static_cast<uint64_t>(
+    if (c != nullptr) {
+      c->descent.lock_wait_ns += static_cast<uint64_t>(
           CycleTimer::ToNanoseconds(CycleTimer::Now() - lock_start));
     }
     obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
-    locked(shard.index, t);
+    locked(shard.index);
   }
 
   // Shard of every key (*shard_of) and the key count per shard
@@ -494,9 +474,12 @@ class ShardedIndex {
   // key starting at its own shard's root. A batch large enough for some
   // shard's slice to clear UseGroupedDescent is sorted once instead
   // (SortedOptimisticBatch). Keys either pass could not resolve climb
-  // the rest of the ladder (RetryFailed).
+  // the rest of the ladder (RetryFailed). A non-null `t` (an armed
+  // request trace's descent section) gets the first grouped pass's
+  // per-level record.
   void OptimisticBatch(const KeyType* keys, size_t n,
-                       std::optional<ValueType>* out) const {
+                       std::optional<ValueType>* out,
+                       obs::DescentTrace* t) const {
     const size_t num = shards_.size();
     std::vector<uint32_t> failed;
     if (num == 1) {
@@ -504,13 +487,14 @@ class ShardedIndex {
       obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
       const Index& index = shards_[0]->index;
       if (UseGroupedDescent(n, OptimisticLevels(index))) {
-        index.FindBatchGroupedOptimistic(keys, n, out, &failed);
+        if (t != nullptr) t->shard = 0;
+        index.FindBatchGroupedOptimistic(keys, n, out, &failed, t);
       } else {
         Index::FindBatchOptimisticOver([&](uint32_t) { return &index; },
                                        keys, n, out, &failed);
       }
     } else if (n >= MinGroupedSlice()) {
-      SortedOptimisticBatch(keys, n, out, &failed);
+      SortedOptimisticBatch(keys, n, out, &failed, t);
     } else {
       // Shard ids are only materialized for the imbalance gauge;
       // otherwise each key's shard is chosen as it starts.
@@ -554,10 +538,12 @@ class ShardedIndex {
   // clears UseGroupedDescent gets it, already ascending, through its
   // grouped engine; the other shards' ranges share one interleaved
   // pass. Answers land in sorted order and scatter back once, through
-  // the permutation; conflicted keys go to *failed by batch index.
+  // the permutation; conflicted keys go to *failed by batch index. A
+  // non-null `t` gets the first grouped shard's per-level record.
   void SortedOptimisticBatch(const KeyType* keys, size_t n,
                              std::optional<ValueType>* out,
-                             std::vector<uint32_t>* failed) const {
+                             std::vector<uint32_t>* failed,
+                             obs::DescentTrace* t) const {
     const size_t num = shards_.size();
     SortedBatch<KeyType> sorted;
     // Shard s owns sorted keys [cut[s], cut[s + 1]); a key equal to a
@@ -598,8 +584,10 @@ class ShardedIndex {
       }
       grouped[s] = 1;
       const size_t before = conflicted.size();
+      if (t != nullptr) t->shard = static_cast<uint16_t>(s);
       index.FindBatchGroupedOptimistic(skeys + lo, m, vals.data() + lo,
-                                       &conflicted);
+                                       &conflicted, t);
+      t = nullptr;
       for (size_t c = before; c < conflicted.size(); ++c) conflicted[c] += lo;
     }
     if (interleaved) {
@@ -669,28 +657,26 @@ class ShardedIndex {
       const auto hi = std::find_if(lo, failed->end(),
                                    [&](uint32_t j) { return shard(j) != s; });
       olc_metrics_.fallback_acquisitions->Add();
-      auto locked = [&](const Index& index, obs::DescentTrace*) {
+      auto locked = [&](const Index& index) {
         for (auto it = lo; it != hi; ++it) out[*it] = index.Find(keys[*it]);
       };
-      LockedRead(s, nullptr, locked);
+      LockedRead(s, locked);
       lo = hi;
     }
   }
 
   // FindBatch under the shard locks: each shard's slice of the batch
   // (ForEachSlice; the whole batch when there is one shard) is looked
-  // up under its shard's shared lock (FindLocked). `t` traces the first
-  // key's shard.
+  // up under its shard's shared lock (FindLocked).
   void LockedBatch(const KeyType* keys, size_t n,
-                   std::optional<ValueType>* out,
-                   obs::DescentTrace* t) const {
+                   std::optional<ValueType>* out) const {
     if (shards_.size() == 1) {
       if (metrics_) metrics_->shard_imbalance->Set(1.0);
       obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-      auto locked = [&](const Index& index, obs::DescentTrace* trace) {
-        FindLocked(index, keys, n, out, trace);
+      auto locked = [&](const Index& index) {
+        FindLocked(index, keys, n, out);
       };
-      LockedRead(0, t, locked);
+      LockedRead(0, locked);
       return;
     }
     // Request-span hooks: counting keys per shard is the shard_fanout
@@ -706,34 +692,23 @@ class ShardedIndex {
         keys, n, shard_of, out,
         [&](size_t s, const KeyType* skeys, size_t m,
             std::optional<ValueType>* vals) {
-          auto locked = [&](const Index& index, obs::DescentTrace* trace) {
-            FindLocked(index, skeys, m, vals, trace);
+          auto locked = [&](const Index& index) {
+            FindLocked(index, skeys, m, vals);
           };
-          LockedRead(s, s == shard_of[0] ? t : nullptr, locked);
+          LockedRead(s, locked);
         });
   }
 
   // A sub-batch under the shard lock: the grouped (level-wise,
   // sort-once) descent when the index has one and the sub-batch clears
   // UseGroupedDescent, else the interleaved FindBatch in 256-key chunks.
-  // A sampled sub-batch (`t`) records the grouped per-level trace where
-  // the index has one, else the traced descent of its first key.
   static void FindLocked(const Index& index, const KeyType* keys, size_t m,
-                         std::optional<ValueType>* vals,
-                         obs::DescentTrace* t) {
+                         std::optional<ValueType>* vals) {
     if constexpr (HasGroupedFindBatch<Index, KeyType, ValueType>) {
       if (UseGroupedDescent(m, BatchLevels(index))) {
         std::vector<const ValueType*> ptrs(m);
-        if constexpr (HasGroupedTrace<Index>) {
-          if (t != nullptr) {
-            index.FindBatchGroupedTraced(keys, m, ptrs.data(), nullptr, t);
-            CopyValues(ptrs.data(), m, vals);
-            return;
-          }
-        }
         index.FindBatchGrouped(keys, m, ptrs.data());
         CopyValues(ptrs.data(), m, vals);
-        TraceFirstKey(index, keys[0], t);
         return;
       }
     }
@@ -744,7 +719,6 @@ class ShardedIndex {
       index.FindBatch(keys + off, g, ptrs);
       CopyValues(ptrs, g, vals + off);
     }
-    TraceFirstKey(index, keys[0], t);
   }
 
   static void CopyValues(const ValueType* const* ptrs, size_t m,
@@ -758,17 +732,9 @@ class ShardedIndex {
     }
   }
 
-  // A sampled batch's trace: the traced descent of its first key.
-  static void TraceFirstKey(const Index& index, KeyType key,
-                            obs::DescentTrace* t) {
-    if (t == nullptr) return;
-    t->batched = 1;
-    index.FindTraced(key, t);
-  }
-
   static constexpr size_t kDefaultShards = 8;
-  // Shard ids must stay below obs::kTraceNoShard, the trace's "no
-  // shard" sentinel.
+  // Shard ids must stay below obs::kTraceNoShard, the descent section's
+  // "no shard" sentinel.
   static constexpr size_t kMaxShards = 1u << 15;
   static_assert(kMaxShards - 1 < obs::kTraceNoShard);
 

@@ -21,7 +21,6 @@
 #include "obs/profiler.h"
 #include "obs/request_trace.h"
 #include "obs/stats_server.h"
-#include "obs/trace.h"
 #include "util/cycle_timer.h"
 
 namespace simdtree::net {
@@ -57,18 +56,6 @@ obs::ExemplarStore* ExemplarForOp(const NetMetrics& m, uint8_t opcode) {
     case kOpPut: return m.ex_put;
     case kOpDel: return m.ex_del;
     default: return nullptr;  // stats/error replies carry no exemplar
-  }
-}
-
-// Copies the index-internal sub-phases (shard_fanout, descent) the
-// concurrency wrappers marked into the collector onto one request's
-// trace.
-void AppendCollectedSpans(obs::RequestTrace* t,
-                          const obs::SpanCollector& collector) {
-  for (int s = 0; s < collector.count; ++s) {
-    const obs::RequestSpan& cs = collector.spans[s];
-    obs::AppendRequestSpan(t, static_cast<obs::RequestSpanKind>(cs.kind),
-                           cs.start_ns, cs.duration_ns);
   }
 }
 
@@ -132,6 +119,10 @@ struct KvServer::Worker {
   // Request-span scratch, one slot per pipeline entry; only populated
   // while the request tracer is armed (empty otherwise).
   std::vector<obs::RequestTrace> trace_scratch;
+  // Armed (thread-locally) around each traced backend call so the index
+  // wrappers mark their fan-out/descent sub-phases and per-level descent
+  // into it.
+  obs::SpanCollector collector;
 
   ~Worker() {
     for (auto& [fd, conn] : conns) ::close(fd);
@@ -321,7 +312,7 @@ struct KvServer::Worker {
       const uint64_t gulp_start_ns = CyclesToNs(gulp_start_cycles);
       trace_scratch.reserve(pipeline.size());
       for (const PendingRequest& p : pipeline) {
-        obs::RequestTrace t;
+        obs::RequestTrace& t = trace_scratch.emplace_back();
         t.trace_id = tracer.NextTraceId();
         t.start_ns = gulp_start_ns;
         t.conn_id = c->id;
@@ -331,7 +322,6 @@ struct KvServer::Worker {
         // siblings; they honestly share one socket_read span.
         obs::AppendRequestSpan(&t, obs::RequestSpanKind::kSocketRead,
                                gulp_start_ns, read_ns);
-        trace_scratch.push_back(t);
       }
     }
 
@@ -434,13 +424,10 @@ struct KvServer::Worker {
           ++end;
         }
         batch_out.assign(batch_keys.size(), std::nullopt);
-        obs::SetTraceRequestContext(c->id, pipeline[i].req.request_id);
-        // Arm the thread-local collector so the index wrappers mark
-        // their fan-out/descent sub-phases into it.
-        obs::SpanCollector collector;
         uint64_t wait_ns = 0;
         if (traces != nullptr) {
           wait_ns = ElapsedNs(exec_start);
+          collector.Reset();
           obs::SetActiveSpanCollector(&collector);
         }
         const uint64_t start = CycleTimer::Now();
@@ -488,7 +475,7 @@ struct KvServer::Worker {
             obs::RequestTrace& t = traces[j];
             obs::AppendRequestSpan(&t, obs::RequestSpanKind::kCoalesceWait,
                                    exec_start_ns, wait_ns);
-            AppendCollectedSpans(&t, collector);
+            obs::AppendCollected(&t, collector);
             t.batch_keys = static_cast<uint32_t>(batch_keys.size());
             t.service_ns = ns;
             t.status = kStatusOk;
@@ -501,7 +488,6 @@ struct KvServer::Worker {
                     exec_start, exec_start_ns);
       ++i;
     }
-    obs::ClearTraceRequestContext();
 
     server->in_flight_.fetch_sub(static_cast<int64_t>(pipeline.size()),
                                  std::memory_order_relaxed);
@@ -523,11 +509,10 @@ struct KvServer::Worker {
       if (trace != nullptr) trace->status = status;
       return;
     }
-    obs::SetTraceRequestContext(c->id, r.request_id);
-    obs::SpanCollector collector;
     uint64_t wait_ns = 0;
     if (trace != nullptr) {
       wait_ns = ElapsedNs(exec_start);
+      collector.Reset();
       obs::SetActiveSpanCollector(&collector);
     }
     const uint64_t start = CycleTimer::Now();
@@ -596,7 +581,7 @@ struct KvServer::Worker {
       obs::AppendRequestSpan(trace, obs::RequestSpanKind::kCoalesceWait,
                              exec_start_ns, wait_ns);
       if (collector.count > 0) {
-        AppendCollectedSpans(trace, collector);
+        obs::AppendCollected(trace, collector);
       } else {
         // Ops without wrapper hooks (single-key writes, stats): the
         // whole backend call is honestly one descent span.

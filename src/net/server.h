@@ -36,14 +36,12 @@
 // Observability: counters/gauges/histograms under "net.*" in the global
 // MetricsRegistry (connections, in-flight requests, coalesced batch
 // sizes, per-op service-time histograms, malformed/timeout counts), all
-// exported by the existing /metrics surface. Sampled descents triggered
-// by a connection's requests carry the connection and wire request id
-// (obs::SetTraceRequestContext) into /tracez. When the request tracer
-// (obs/request_trace.h) is armed, every wire request additionally
-// accumulates end-to-end spans — socket_read, coalesce_wait,
-// shard_fanout, descent, write_flush — with tail-based retention into
-// /requestz, and retained trace ids surface as OpenMetrics exemplars on
-// the per-op latency histograms. Stop() flips the process-wide drain
+// exported by the existing /metrics surface. When the request tracer
+// (obs/request_trace.h) is armed, every wire request accumulates
+// end-to-end spans — socket_read, coalesce_wait, shard_fanout, descent,
+// write_flush — plus the index's per-level descent, with tail-based
+// retention into /requestz, and retained trace ids surface as
+// OpenMetrics exemplars on the per-op latency histograms. Stop() flips the process-wide drain
 // flag (obs::SetHealthDraining) before closing listeners, so /healthz
 // turns 503 "draining" while in-flight pipelines finish.
 

@@ -52,18 +52,8 @@ class NameDeduper {
   std::map<std::string, uint64_t> uses_;
 };
 
-void AppendTraceJson(std::string* out, const DescentTrace& t) {
+void AppendDescentJson(std::string* out, const DescentTrace& t) {
   *out += "{\"key\":" + FmtU64(t.key);
-  *out += ",\"start_ns\":" + FmtU64(t.start_ns);
-  *out += ",\"latency_ns\":" + FmtU64(t.latency_ns);
-  *out += ",\"lock_wait_ns\":" + FmtU64(t.lock_wait_ns);
-  *out += ",\"thread\":" + FmtU64(t.thread_id);
-  *out += ",\"conn\":";
-  *out += t.conn_id == kTraceNoConn ? std::string("null")
-                                    : FmtU64(t.conn_id);
-  *out += ",\"request\":";
-  *out += t.conn_id == kTraceNoConn ? std::string("null")
-                                    : FmtU64(t.request_id);
   *out += ",\"shard\":";
   *out += t.shard == kTraceNoShard ? std::string("null")
                                    : FmtU64(t.shard);
@@ -71,10 +61,7 @@ void AppendTraceJson(std::string* out, const DescentTrace& t) {
   *out += TraceBackendName(t.backend);
   *out += "\",\"found\":";
   *out += t.found ? "true" : "false";
-  *out += ",\"slow\":";
-  *out += t.slow ? "true" : "false";
-  *out += ",\"batched\":";
-  *out += t.batched ? "true" : "false";
+  *out += ",\"lock_wait_ns\":" + FmtU64(t.lock_wait_ns);
   *out += ",\"levels\":[";
   for (int i = 0; i < t.levels && i < kMaxTraceLevels; ++i) {
     const LevelSpan& s = t.level[i];
@@ -90,6 +77,7 @@ void AppendTraceJson(std::string* out, const DescentTrace& t) {
     *out += ",\"simd_cmps\":" + FmtU64(s.simd_cmps);
     *out += ",\"scalar_cmps\":" + FmtU64(s.scalar_cmps);
     *out += ",\"cycles\":" + FmtU64(s.cycles);
+    *out += ",\"group_size\":" + FmtU64(s.group_size);
     *out += "}";
   }
   *out += "]}";
@@ -221,35 +209,13 @@ std::string RenderOpenMetrics(const MetricsRegistry::Snapshot& snap) {
 }
 
 std::string RenderMetricsJson(const MetricsRegistry& registry,
-                              const Tracer& tracer) {
+                              const RequestTracer& tracer) {
   std::string out = "{\"registry\":" + registry.ToJson();
-  out += ",\"trace\":{\"sample_rate\":" + FmtU64(TraceSampleRate());
-  out += ",\"recorded\":" + FmtU64(tracer.recorded());
-  out += ",\"slow_recorded\":" + FmtU64(tracer.slow_recorded());
+  out += ",\"requests\":{\"head_rate\":" + FmtU64(tracer.head_rate());
   out += ",\"slow_threshold_ns\":" + FmtU64(tracer.slow_threshold_ns());
+  out += ",\"retained\":" + FmtU64(tracer.retained());
+  out += ",\"slow_retained\":" + FmtU64(tracer.slow_retained());
   out += "}}";
-  return out;
-}
-
-std::string RenderTracezJson(const Tracer& tracer, size_t max_recent) {
-  std::string out = "{\"sample_rate\":" + FmtU64(TraceSampleRate());
-  out += ",\"recorded\":" + FmtU64(tracer.recorded());
-  out += ",\"slow_threshold_ns\":" + FmtU64(tracer.slow_threshold_ns());
-  out += ",\"recent\":[";
-  bool first = true;
-  for (const DescentTrace& t : tracer.Snapshot(max_recent)) {
-    if (!first) out += ",";
-    first = false;
-    AppendTraceJson(&out, t);
-  }
-  out += "],\"slow\":[";
-  first = true;
-  for (const DescentTrace& t : tracer.SlowSnapshot()) {
-    if (!first) out += ",";
-    first = false;
-    AppendTraceJson(&out, t);
-  }
-  out += "]}";
   return out;
 }
 
@@ -281,7 +247,9 @@ void AppendRequestTraceJson(std::string* out, const RequestTrace& t) {
     *out += ",\"duration_ns\":" + FmtU64(s.duration_ns);
     *out += "}";
   }
-  *out += "]}";
+  *out += "],\"descent\":";
+  AppendDescentJson(out, t.descent);
+  *out += "}";
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Metric and trace exposition: OpenMetrics/Prometheus text format over
-// the MetricsRegistry, a JSON variant, and the /tracez trace dump.
+// the MetricsRegistry, a JSON variant, and the /requestz trace dump.
 //
 // OpenMetrics names admit only [a-zA-Z_:][a-zA-Z0-9_:]* while the
 // registry's convention is dotted paths ("sharded.read_lock_ns"), so
@@ -23,7 +23,6 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
-#include "obs/trace.h"
 
 namespace simdtree::obs {
 
@@ -67,18 +66,13 @@ std::vector<CumulativeBucket> CumulativeBuckets(const LogHistogram& hist);
 std::string RenderOpenMetrics(const MetricsRegistry::Snapshot& snap);
 
 // Same data as one JSON document (the registry's ToJson shape plus the
-// tracer's recorded/slow counts).
+// request recorder's configuration and retention counts).
 std::string RenderMetricsJson(const MetricsRegistry& registry,
-                              const Tracer& tracer);
-
-// /tracez payload: {"sample_rate":..,"recorded":..,"slow_threshold_ns":..,
-// "recent":[trace...],"slow":[trace...]} with per-level spans expanded.
-// `max_recent` caps the recent-trace array (0 = TraceRing capacity per
-// thread, i.e. everything retained).
-std::string RenderTracezJson(const Tracer& tracer, size_t max_recent = 0);
+                              const RequestTracer& tracer);
 
 // /requestz payload: the request-span recorder's state and both
-// retention tiers, spans expanded with kind names —
+// retention tiers, spans expanded with kind names and each trace's
+// descent section with its per-level spans —
 // {"head_rate":..,"slow_threshold_ns":..,"completed":..,"retained":..,
 //  "slow_retained":..,"recent":[request...],"slow":[request...]}.
 // Trace ids render as the same 16-hex-digit strings used by the

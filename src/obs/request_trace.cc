@@ -1,7 +1,12 @@
 #include "obs/request_trace.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <system_error>
 
 namespace simdtree::obs {
 
@@ -22,18 +27,23 @@ constinit thread_local SpanCollector* g_collector = nullptr;
 
 namespace {
 
-uint32_t EnvHeadRate() {
-  const char* env = std::getenv("SIMDTREE_REQUEST_SAMPLE");
+// One environment knob: 0 when unset or empty, else a plain decimal
+// integer in [1, max]; anything else clears *ok after one stderr line.
+uint64_t ParseEnv(const char* name, uint64_t max, bool* ok) {
+  const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v <= 0 ? 0 : static_cast<uint32_t>(v);
-}
-
-uint64_t EnvSlowThresholdNs() {
-  const char* env = std::getenv("SIMDTREE_REQUEST_SLOW_NS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long long v = std::strtoll(env, nullptr, 10);
-  return v <= 0 ? 0 : static_cast<uint64_t>(v);
+  const char* end = env + std::strlen(env);
+  uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc() || stop != end || v == 0 || v > max) {
+    std::fprintf(stderr,
+                 "simdtree: ignoring %s=\"%s\" (want an integer in "
+                 "1..%llu); request tracing stays disarmed\n",
+                 name, env, static_cast<unsigned long long>(max));
+    *ok = false;
+    return 0;
+  }
+  return v;
 }
 
 }  // namespace
@@ -46,16 +56,25 @@ RequestTracer::RequestTracer()
       }()) {}
 
 RequestTracer& RequestTracer::Global() {
-  // Leaked like Tracer::Global(): worker threads finishing requests at
-  // process teardown must never observe a destroyed recorder.
+  // Leaked: worker threads finishing requests at process teardown must
+  // never observe a destroyed recorder.
   static RequestTracer* instance = [] {
     auto* t = new RequestTracer();
-    const uint32_t rate = request_internal::EnvHeadRate();
-    const uint64_t slow = request_internal::EnvSlowThresholdNs();
-    if (rate != 0 || slow != 0) t->Configure(rate, slow);
+    t->ConfigureFromEnv();
     return t;
   }();
   return *instance;
+}
+
+bool RequestTracer::ConfigureFromEnv() {
+  bool ok = true;
+  const uint64_t rate = request_internal::ParseEnv(
+      "SIMDTREE_REQUEST_SAMPLE", std::numeric_limits<uint32_t>::max(), &ok);
+  const uint64_t slow = request_internal::ParseEnv(
+      "SIMDTREE_REQUEST_SLOW_NS", std::numeric_limits<uint64_t>::max(), &ok);
+  if (!ok) return false;
+  if (rate != 0 || slow != 0) Configure(static_cast<uint32_t>(rate), slow);
+  return true;
 }
 
 void RequestTracer::Configure(uint32_t head_rate,

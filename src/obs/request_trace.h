@@ -1,12 +1,11 @@
-// End-to-end KV request spans with tail-based sampling.
+// End-to-end KV request traces with tail-based sampling.
 //
-// The descent-trace flight recorder (obs/trace.h) answers "where inside
-// one tree descent did the cycles go". This layer answers the question
-// one level up: for a slow p999 wire request, was the time spent in
-// socket backpressure, waiting behind earlier frames in the pipeline,
-// shard fan-out, the SIMD descent itself, or flushing the reply? Each
-// request gets a trace id at frame parse (net/server.cc) and accumulates
-// up to kMaxRequestSpans spans as it moves through the serving path:
+// One trace explains one request: for a slow p999 wire request, was the
+// time spent in socket backpressure, waiting behind earlier frames in
+// the pipeline, shard fan-out, the SIMD descent itself, or flushing the
+// reply — and inside the descent, on which tree level? Each request gets
+// a trace id at frame parse (net/server.cc) and accumulates up to
+// kMaxRequestSpans spans as it moves through the serving path:
 //
 //   socket_read    recv() drain that delivered the request's frame
 //   coalesce_wait  queueing behind earlier frames of the same pipeline
@@ -17,23 +16,30 @@
 //                  whole index call for single-key ops
 //   write_flush    send() loop that pushed the reply toward the socket
 //
+// plus one descent section (obs/trace.h DescentTrace), the descent
+// span's per-level children: node ref, layout, comparisons and cycles
+// per level of a single-key read, or per level of a grouped pass the
+// nodes it loaded and the queries sharing them. An interleaved batch
+// leaves it empty: its keys' levels interleave and no one key owns them.
+//
 // Sampling is TAIL-BASED: spans are recorded for every request while
 // the recorder is armed (a handful of timestamp reads — the cheap
 // part), and the retention decision happens at request completion, when
 // the end-to-end latency is known. Requests breaching the slow
-// threshold are ALWAYS retained (promoted to the bounded slow log, like
-// the descent tracer's slow-query log); the rest are head-sampled
-// deterministically 1-in-N into per-thread rings. Disarmed, the serving
-// path pays one relaxed atomic load per pipeline drain.
+// threshold are ALWAYS retained (promoted to a bounded slow log); the
+// rest are head-sampled deterministically 1-in-N into per-thread rings.
+// Disarmed, the serving path pays one relaxed atomic load per pipeline
+// drain.
 //
-// Index-internal spans (shard_fanout, descent) are recorded through a
-// thread-local SpanCollector the server arms around FindBatch: the
-// wrapper (core/sharded.h) marks its sub-phases into it without knowing
-// anything about the serving path. One
-// coalesced batch serves many wire requests; each retained request
-// carries a copy of the batch's fan-out/descent spans plus its
-// batch_keys size, which is the honest attribution — those cycles were
-// genuinely shared.
+// Index-internal spans (shard_fanout, descent) and the descent section
+// are recorded through a thread-local SpanCollector the caller arms
+// around the index call: the wrapper (core/sharded.h) marks its
+// sub-phases into it, on the same read-ladder rung an unarmed read
+// takes, without knowing anything about the serving path. One coalesced
+// batch serves many wire requests; each retained request carries a copy
+// of the batch's fan-out/descent spans plus its batch_keys size, which
+// is the honest attribution — those cycles were genuinely shared.
+// In-process callers (tools, tests) trace a call with TraceCall.
 //
 // /requestz (obs/stats_server.cc) renders both rings as JSON; retained
 // trace ids also surface as OpenMetrics exemplars on the per-op latency
@@ -51,6 +57,7 @@
 #include <vector>
 
 #include "obs/seqlock_ring.h"
+#include "obs/trace.h"
 #include "util/cycle_timer.h"
 
 namespace simdtree::obs {
@@ -99,6 +106,7 @@ struct RequestTrace {
   uint8_t num_spans = 0;    // valid entries in spans[]
   uint8_t reserved[4] = {};
   RequestSpan spans[kMaxRequestSpans];
+  DescentTrace descent;     // the descent span's per-level children
 };
 static_assert(std::is_trivially_copyable_v<RequestTrace>);
 static_assert(sizeof(RequestTrace) % sizeof(uint64_t) == 0);
@@ -116,12 +124,15 @@ inline void AppendRequestSpan(RequestTrace* t, RequestSpanKind kind,
 
 // --- index-internal span collection ------------------------------------
 
-// Scratch the server arms (thread-locally) around a backend call; the
-// concurrency wrappers mark their sub-phases into it. Fixed-size: a
-// FindBatch records at most fan-out + descent.
+// Scratch the caller arms (thread-locally) around an index call; the
+// concurrency wrappers mark their sub-phases and the descent section
+// into it. Fixed-size: a FindBatch records at most fan-out + descent.
+// Arm it Reset (or fresh): calls that record no descent (writes, lower
+// bounds) leave the section as they found it.
 struct SpanCollector {
   RequestSpan spans[4];
   int count = 0;
+  DescentTrace descent;
 
   void Add(RequestSpanKind kind, uint64_t start_ns, uint64_t duration_ns) {
     if (count >= 4) return;
@@ -129,6 +140,11 @@ struct SpanCollector {
     spans[count].duration_ns = duration_ns;
     spans[count].kind = static_cast<uint8_t>(kind);
     ++count;
+  }
+
+  void Reset() {
+    count = 0;
+    descent = DescentTrace{};
   }
 };
 
@@ -180,12 +196,37 @@ class CollectedSpanScope {
   uint64_t start_cycles_ = 0;
 };
 
+// The armed collector's descent section, cleared for the read call
+// about to fill it, or nullptr when no collector is armed (one
+// thread-local load and a predictable branch). The wrapper clears it on
+// every read call, so it never shows a previous call's levels whoever
+// armed the collector.
+inline DescentTrace* BeginCollectedDescent() {
+  SpanCollector* c = ActiveSpanCollector();
+  if (c == nullptr) [[likely]] {
+    return nullptr;
+  }
+  c->descent = DescentTrace{};
+  return &c->descent;
+}
+
+// Copies what the wrappers marked into the collector — the sub-phase
+// spans (shard_fanout, descent) and the descent section — onto one
+// request's trace.
+inline void AppendCollected(RequestTrace* t, const SpanCollector& c) {
+  for (int s = 0; s < c.count; ++s) {
+    AppendRequestSpan(t, static_cast<RequestSpanKind>(c.spans[s].kind),
+                      c.spans[s].start_ns, c.spans[s].duration_ns);
+  }
+  t->descent = c.descent;
+}
+
 // --- the recorder ------------------------------------------------------
 
 // Process-wide request-trace sink: per-thread rings for head-sampled
-// requests plus a bounded slow log for tail-retained ones. Mirrors
-// Tracer (obs/trace.h); the global instance is leaked for the same
-// teardown-safety reason.
+// requests plus a bounded slow log for tail-retained ones. Like
+// MetricsRegistry, the global instance is leaked, so threads finishing
+// requests at process teardown never touch a dead object.
 class RequestTracer {
  public:
   static constexpr size_t kRingCapacity = 256;  // per recording thread
@@ -201,9 +242,17 @@ class RequestTracer {
 
   // Arms the recorder. head_rate: keep 1 in N completed requests
   // (0 = none); slow_threshold_ns: always keep requests at or above
-  // this end-to-end latency (0 = none). Both zero disarms. Defaults
-  // come from SIMDTREE_REQUEST_SAMPLE / SIMDTREE_REQUEST_SLOW_NS.
+  // this end-to-end latency (0 = none). Both zero disarms. Global()
+  // takes its defaults from ConfigureFromEnv.
   void Configure(uint32_t head_rate, uint64_t slow_threshold_ns);
+
+  // Configures from SIMDTREE_REQUEST_SAMPLE (head rate, 1..UINT32_MAX)
+  // and SIMDTREE_REQUEST_SLOW_NS (threshold, 1..UINT64_MAX); an unset or
+  // empty variable leaves its knob off. A value that is not a plain
+  // decimal integer in range (a sign, trailing characters, overflow)
+  // gets one stderr line and leaves the recorder untouched; returns
+  // false then.
+  bool ConfigureFromEnv();
 
   // The serving path's arm check: one relaxed load per pipeline drain.
   bool enabled() const {
@@ -255,8 +304,9 @@ class RequestTracer {
   };
   ThreadSlot SlotForThisThread();
 
-  // Same aliasing defence as Tracer: the per-thread ring cache is keyed
-  // by a process-unique instance id, never by address.
+  // Process-unique id keying the per-thread ring cache: an address
+  // alone could alias a destroyed instance at a reused address (stack
+  // recorders in consecutive tests), handing back a freed ring.
   const uint64_t instance_id_;
 
   std::atomic<bool> armed_{false};
@@ -272,6 +322,32 @@ class RequestTracer {
   std::vector<RequestTrace> slow_;
   size_t slow_next_ = 0;
 };
+
+// Traces one in-process call the way the KV server traces a wire
+// request: arms a collector around fn(), then hands the trace — the
+// wrappers' spans and descent section, the call's latency — to Finish.
+// Disarmed, fn() runs after one relaxed load. Returns Finish's verdict
+// (false when disarmed).
+template <typename Fn>
+bool TraceCall(RequestTracer& tracer, Fn&& fn) {
+  if (!tracer.enabled()) {
+    fn();
+    return false;
+  }
+  SpanCollector collector;
+  SetActiveSpanCollector(&collector);
+  const uint64_t start = CycleTimer::Now();
+  fn();
+  const uint64_t cycles = CycleTimer::Now() - start;
+  SetActiveSpanCollector(nullptr);
+  RequestTrace t;
+  t.trace_id = tracer.NextTraceId();
+  t.start_ns = static_cast<uint64_t>(CycleTimer::ToNanoseconds(start));
+  t.latency_ns = static_cast<uint64_t>(CycleTimer::ToNanoseconds(cycles));
+  t.service_ns = t.latency_ns;
+  AppendCollected(&t, collector);
+  return tracer.Finish(&t);
+}
 
 }  // namespace simdtree::obs
 

@@ -16,7 +16,6 @@
 #include "obs/profiler.h"
 #include "obs/request_trace.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 #include "simd/dispatch.h"
 
 namespace simdtree::obs {
@@ -120,11 +119,7 @@ std::string StatsServer::HandleRequest(const std::string& path) {
   if (route == "/metrics.json") {
     return HttpResponse(200, "OK", "application/json",
                         RenderMetricsJson(MetricsRegistry::Global(),
-                                          Tracer::Global()));
-  }
-  if (route == "/tracez") {
-    return HttpResponse(200, "OK", "application/json",
-                        RenderTracezJson(Tracer::Global()));
+                                          RequestTracer::Global()));
   }
   if (route == "/requestz") {
     return HttpResponse(200, "OK", "application/json",

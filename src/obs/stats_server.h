@@ -4,8 +4,8 @@
 //   /metrics       OpenMetrics text exposition (Prometheus-scrapable,
 //                  with exemplars on the serving-latency buckets)
 //   /metrics.json  the same registry as one JSON document
-//   /tracez        recent + slow descent traces as JSON
-//   /requestz      recent + slow end-to-end request spans as JSON
+//   /requestz      recent + slow end-to-end request traces as JSON,
+//                  each with its per-level descent
 //   /profilez      continuous on-CPU profile, folded-stack text
 //   /slo           SLO config + windowed burn-rate report as JSON
 //                  (each scrape also ticks the monitor's window)

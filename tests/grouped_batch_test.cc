@@ -406,14 +406,8 @@ void CheckWindowFrontiers() {
     std::shuffle(probes.begin(), probes.end(), rng);
     const size_t n = probes.size();
 
-    // The leaf level and the level above it hold one run per chosen leaf.
     std::vector<const uint64_t*> found(n);
-    obs::DescentTrace trace;
-    tree.FindBatchGroupedTraced(probes.data(), n, found.data(), nullptr,
-                                &trace);
-    ASSERT_GE(trace.levels, 2);
-    EXPECT_EQ(trace.level[trace.levels - 1].node_ref, runs);
-    EXPECT_EQ(trace.level[trace.levels - 2].node_ref, runs);
+    tree.FindBatchGrouped(probes.data(), n, found.data());
 
     std::vector<typename TreeT::ConstIterator> lbs(n);
     tree.LowerBoundBatchGrouped(probes.data(), n, lbs.data());
@@ -448,8 +442,17 @@ void CheckWindowFrontiers() {
       olc::EpochGuard pin;
       std::vector<std::optional<uint64_t>> opt(n);
       std::vector<uint32_t> failed;
-      tree.FindBatchGroupedOptimistic(probes.data(), n, opt.data(), &failed);
+      obs::DescentTrace trace;
+      tree.FindBatchGroupedOptimistic(probes.data(), n, opt.data(), &failed,
+                                      &trace);
       EXPECT_TRUE(failed.empty());
+      // The leaf level and the level above it hold one run per chosen
+      // leaf, each level shared by the whole batch.
+      ASSERT_EQ(trace.levels, height);
+      EXPECT_EQ(trace.level[trace.levels - 1].node_ref, runs);
+      EXPECT_EQ(trace.level[trace.levels - 2].node_ref, runs);
+      EXPECT_EQ(trace.level[0].group_size, n);
+      EXPECT_EQ(trace.found, opt[0].has_value() ? 1 : 0);
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(opt[i], tree.Find(probes[i])) << "i=" << i;
       }

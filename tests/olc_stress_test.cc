@@ -300,9 +300,10 @@ struct AuditedTree : Tree {
   }
   void FindBatchGroupedOptimistic(const uint64_t* keys, size_t n,
                                   std::optional<uint64_t>* out,
-                                  std::vector<uint32_t>* failed) const {
+                                  std::vector<uint32_t>* failed,
+                                  obs::DescentTrace* t = nullptr) const {
     const size_t before = failed->size();
-    Tree::FindBatchGroupedOptimistic(keys, n, out, failed);
+    Tree::FindBatchGroupedOptimistic(keys, n, out, failed, t);
     deferred += failed->size() - before;
   }
 };

@@ -22,6 +22,7 @@
 #include "kary/layout.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "segtree/segtree.h"
 
 namespace simdtree {
@@ -552,9 +553,11 @@ struct EnteredHookTree : SegTree64 {
   static inline int grouped_calls = 0;
   void FindBatchGroupedOptimistic(const uint64_t* keys, size_t n,
                                   std::optional<uint64_t>* out,
-                                  std::vector<uint32_t>* failed) const {
+                                  std::vector<uint32_t>* failed,
+                                  obs::DescentTrace* t = nullptr) const {
     ++grouped_calls;
-    SegTree64::FindBatchGroupedOptimistic<WriterInNode>(keys, n, out, failed);
+    SegTree64::FindBatchGroupedOptimistic<WriterInNode>(keys, n, out, failed,
+                                                        t);
   }
 };
 
@@ -621,6 +624,87 @@ TEST(EnteredThenWrite, ShardedGroupedSliceConflictsOnceAndMatchesLockedFind) {
     }
     EXPECT_TRUE(index.Validate());
   }
+}
+
+// --- a traced read climbs the untraced ladder --------------------------------
+//
+// A read under an armed request trace (obs/request_trace.h) takes the
+// rung an unarmed read takes: with optimistic reads armed and no writer,
+// a traced Find and traced multi-shard FindBatch calls take no shard lock
+// (no read_lock_ns sample, no fallback), and each Find's descent section
+// holds one level per node FindCounted visits. The collector is armed
+// once and only its span count reset per call, so the wrapper itself
+// must clear the descent section.
+
+TEST(TracedRead, TakesTheOptimisticRungAndRecordsItsLevels) {
+  ShardedIndex<SegTree64> index(4);
+  const uint64_t stride = ~uint64_t{0} / 20000;  // keys on every shard
+  for (uint64_t i = 0; i < 20000; ++i) index.Insert(i * stride, ValueOf(i));
+  if (!index.WithShardRead(
+          0, [](const SegTree64& t) { return t.concurrent_reads_enabled(); })) {
+    GTEST_SKIP() << "optimistic reads not armed";
+  }
+  index.EnableMetrics("olc_test.traced");
+  std::vector<uint64_t> probes;
+  std::vector<uint64_t> visited;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    const uint64_t key = 17 * i * stride + (i % 3 == 0 ? 1 : 0);  // 1/3 miss
+    probes.push_back(key);
+    SearchCounters c;
+    index.WithShardRead(index.ShardOf(key),
+                        [&](const SegTree64& t) { t.FindCounted(key, &c); });
+    visited.push_back(c.nodes_visited);
+  }
+
+  obs::LogHistogram* lock_ns = obs::MetricsRegistry::Global().GetHistogram(
+      "olc_test.traced.read_lock_ns");
+  const obs::OlcMetrics m = obs::OlcMetrics::Register();
+  const uint64_t locks0 = lock_ns->Count();
+  const uint64_t f0 = m.fallback_acquisitions->Get();
+  obs::SpanCollector collector;
+  obs::SetActiveSpanCollector(&collector);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    collector.count = 0;
+    const std::optional<uint64_t> v = index.Find(probes[i]);
+    const obs::DescentTrace& d = collector.descent;
+    EXPECT_EQ(v.has_value(), i % 3 != 0) << i;
+    EXPECT_EQ(d.key, probes[i]);
+    EXPECT_EQ(d.found, v.has_value() ? 1 : 0) << i;
+    EXPECT_EQ(d.shard, index.ShardOf(probes[i]));
+    EXPECT_EQ(d.backend, static_cast<uint8_t>(obs::TraceBackend::kSegTree));
+    EXPECT_EQ(d.levels, visited[i]) << "key " << probes[i];
+    EXPECT_EQ(d.lock_wait_ns, 0u);
+  }
+  // An interleaved batch (spans only) and one large enough for grouped
+  // shard slices (their per-level record).
+  for (const size_t n : {size_t{64}, probes.size()}) {
+    collector.count = 0;
+    std::vector<std::optional<uint64_t>> out(n);
+    index.FindBatch(probes.data(), n, out.data());
+    EXPECT_GT(collector.count, 0);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i].has_value(), i % 3 != 0) << i;
+    }
+    const obs::DescentTrace& d = collector.descent;
+    if (n == 64) {
+      EXPECT_EQ(d.levels, 0);
+      continue;
+    }
+    // Every shard's slice clears the grouped threshold; shard 0's pass
+    // is recorded, one level per tree level, shared by its whole slice.
+    ASSERT_EQ(d.shard, 0);
+    const size_t slice = static_cast<size_t>(
+        std::count_if(probes.begin(), probes.end(),
+                      [&](uint64_t k) { return index.ShardOf(k) == 0; }));
+    EXPECT_EQ(d.levels, index.WithShardRead(0, [](const SegTree64& t) {
+      return t.height();
+    }));
+    EXPECT_EQ(d.level[0].group_size, slice);
+    EXPECT_EQ(d.key, probes[0]);
+  }
+  obs::SetActiveSpanCollector(nullptr);
+  EXPECT_EQ(lock_ns->Count(), locks0);
+  EXPECT_EQ(m.fallback_acquisitions->Get(), f0);
 }
 
 // --- optimistic reads on the SIMD key store ---------------------------------

@@ -1,10 +1,14 @@
-// Request-span recorder tests (obs/request_trace.h) plus the
-// end-to-end differential acceptance test for the observability path:
-// a deliberately stalled request (KvServerOptions test hook) must be
-// tail-retained with all five span kinds, appear in the /requestz
-// payload, and surface its trace id as an OpenMetrics exemplar in the
-// per-op latency bucket that contains its service time. Also covers
-// the drain-aware /healthz surface.
+// Request-trace recorder tests (obs/request_trace.h): ring wraparound,
+// deterministic head sampling, strict environment configuration,
+// slow-log promotion and bounded retention, multi-thread ring merge (the
+// concurrent record/merge soak is the TSan target for the seqlock ring
+// scheme), plus the end-to-end differential acceptance test for the
+// observability path: a deliberately stalled request (KvServerOptions
+// test hook) must be tail-retained with all five span kinds and its
+// per-level descent, appear in the /requestz payload, and surface its
+// trace id as an OpenMetrics exemplar in the per-op latency bucket that
+// contains its service time. Also covers the drain-aware /healthz
+// surface.
 
 #include "obs/request_trace.h"
 
@@ -13,9 +17,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -46,6 +54,46 @@ RequestTrace MakeTrace(RequestTracer& tracer, uint64_t latency_ns) {
   AppendRequestSpan(&t, RequestSpanKind::kSocketRead, 0, 100);
   return t;
 }
+
+// A trace whose fields all derive from `id`, so a torn ring read shows.
+RequestTrace KeyedTrace(uint64_t id, uint64_t start_ns, uint64_t latency_ns) {
+  RequestTrace t;
+  t.trace_id = id;
+  t.start_ns = start_ns;
+  t.latency_ns = latency_ns;
+  t.descent.key = id;
+  return t;
+}
+
+// --- the ring -------------------------------------------------------------
+
+TEST(RequestRingTest, FreshSlotsAreUnreadable) {
+  RequestTracer::Ring ring;
+  RequestTrace out;
+  EXPECT_EQ(ring.head(), 0u);
+  EXPECT_FALSE(ring.TryRead(0, &out));
+  EXPECT_FALSE(ring.TryRead(RequestTracer::Ring::kCapacity - 1, &out));
+}
+
+TEST(RequestRingTest, WrapAroundRetainsNewest) {
+  RequestTracer::Ring ring;
+  const uint64_t total = RequestTracer::Ring::kCapacity + 37;
+  for (uint64_t i = 0; i < total; ++i) {
+    ring.Write(KeyedTrace(/*id=*/i, /*start_ns=*/i * 10, /*latency_ns=*/i));
+  }
+  EXPECT_EQ(ring.head(), total);
+  // The newest kCapacity writes are all readable with intact payloads;
+  // older ones were overwritten in place.
+  RequestTrace out;
+  for (uint64_t i = total - RequestTracer::Ring::kCapacity; i < total; ++i) {
+    ASSERT_TRUE(ring.TryRead(i % RequestTracer::Ring::kCapacity, &out)) << i;
+    EXPECT_EQ(out.trace_id, i);
+    EXPECT_EQ(out.start_ns, i * 10);
+    EXPECT_EQ(out.descent.key, i);
+  }
+}
+
+// --- the recorder ---------------------------------------------------------
 
 TEST(RequestTracerTest, DisarmedByDefaultAndAfterZeroConfigure) {
   auto& tracer = RequestTracer::Global();
@@ -101,6 +149,202 @@ TEST(RequestTracerTest, SlowThresholdAlwaysRetains) {
   EXPECT_EQ(log[0].trace_id, slow_id);
   EXPECT_EQ(log[0].latency_ns, 9000u);
   tracer.Configure(0, 0);
+}
+
+// The environment knobs take plain decimal integers in range only; any
+// other value leaves the recorder disarmed, with one stderr line.
+TEST(RequestTracerTest, EnvConfigIsParsedStrictly) {
+  struct Case {
+    const char* sample;  // nullptr: unset
+    const char* slow_ns;
+    bool ok;
+    uint32_t rate;
+    uint64_t slow;
+  };
+  const Case cases[] = {
+      {"4294967297", nullptr, false, 0, 0},  // wraps to 1 if truncated
+      {"4294967296", nullptr, false, 0, 0},  // wraps to 0 if truncated
+      {"64k", nullptr, false, 0, 0},
+      {"0", nullptr, false, 0, 0},
+      {"-1", nullptr, false, 0, 0},
+      {"+8", nullptr, false, 0, 0},
+      {" 8", nullptr, false, 0, 0},
+      {"8", "5000us", false, 0, 0},  // one bad knob keeps both off
+      {nullptr, "18446744073709551616", false, 0, 0},
+      {"4294967295", nullptr, true, std::numeric_limits<uint32_t>::max(), 0},
+      {"64", "5000", true, 64, 5000},
+      {nullptr, "18446744073709551615", true, 0,
+       std::numeric_limits<uint64_t>::max()},
+      {"", "", true, 0, 0},
+      {nullptr, nullptr, true, 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.sample ? c.sample : "(unset)") + " / " +
+                 (c.slow_ns ? c.slow_ns : "(unset)"));
+    if (c.sample) {
+      setenv("SIMDTREE_REQUEST_SAMPLE", c.sample, 1);
+    } else {
+      unsetenv("SIMDTREE_REQUEST_SAMPLE");
+    }
+    if (c.slow_ns) {
+      setenv("SIMDTREE_REQUEST_SLOW_NS", c.slow_ns, 1);
+    } else {
+      unsetenv("SIMDTREE_REQUEST_SLOW_NS");
+    }
+    RequestTracer tracer;
+    testing::internal::CaptureStderr();
+    const bool ok = tracer.ConfigureFromEnv();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ok, c.ok);
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), c.ok ? 0 : 1) << err;
+    EXPECT_EQ(tracer.enabled(), c.rate != 0 || c.slow != 0);
+    EXPECT_EQ(tracer.head_rate(), c.rate);
+    EXPECT_EQ(tracer.slow_threshold_ns(), c.slow);
+  }
+  unsetenv("SIMDTREE_REQUEST_SAMPLE");
+  unsetenv("SIMDTREE_REQUEST_SLOW_NS");
+}
+
+TEST(RequestTracerTest, SlowPromotionHonorsThreshold) {
+  RequestTracer tracer;
+  tracer.Configure(/*head_rate=*/1, /*slow_threshold_ns=*/1000);
+  RequestTrace t = KeyedTrace(1, 10, /*latency_ns=*/999);
+  EXPECT_TRUE(tracer.Finish(&t));
+  EXPECT_EQ(tracer.retained(), 1u);
+  EXPECT_EQ(tracer.slow_retained(), 0u);
+
+  t = KeyedTrace(2, 20, /*latency_ns=*/1000);  // at threshold
+  tracer.Finish(&t);
+  t = KeyedTrace(3, 30, /*latency_ns=*/5000);
+  tracer.Finish(&t);
+  EXPECT_EQ(tracer.slow_retained(), 2u);
+  const auto slow = tracer.SlowSnapshot();
+  ASSERT_EQ(slow.size(), 2u);
+  EXPECT_EQ(slow[0].trace_id, 2u);
+  EXPECT_EQ(slow[1].trace_id, 3u);
+  EXPECT_EQ(slow[0].slow, 1);  // the promoted flag is set on the copy
+  // The ring copy agrees with the slow copy on the flag.
+  const auto recent = tracer.Snapshot();
+  ASSERT_EQ(recent.size(), 3u);
+  EXPECT_EQ(recent[0].slow, 0);
+  EXPECT_EQ(recent[1].slow, 1);
+  EXPECT_EQ(recent[2].slow, 1);
+
+  // Threshold 0 disables promotion entirely.
+  tracer.Configure(/*head_rate=*/1, /*slow_threshold_ns=*/0);
+  t = KeyedTrace(4, 40, /*latency_ns=*/~uint64_t{0});
+  tracer.Finish(&t);
+  EXPECT_EQ(tracer.slow_retained(), 2u);
+}
+
+TEST(RequestTracerTest, SlowRetentionDropsOldest) {
+  RequestTracer tracer;
+  tracer.Configure(/*head_rate=*/0, /*slow_threshold_ns=*/1);
+  const uint64_t total = RequestTracer::kSlowCapacity + 10;
+  for (uint64_t i = 0; i < total; ++i) {
+    RequestTrace t = KeyedTrace(/*id=*/i, /*start_ns=*/i, /*latency_ns=*/100);
+    tracer.Finish(&t);
+  }
+  EXPECT_EQ(tracer.slow_retained(), total);
+  const auto slow = tracer.SlowSnapshot();
+  ASSERT_EQ(slow.size(), RequestTracer::kSlowCapacity);
+  // Oldest first, and the 10 oldest entries were dropped.
+  for (size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(slow[i].trace_id, 10 + i);
+  }
+}
+
+TEST(RequestTracerTest, SnapshotMergesThreadRingsInStartOrder) {
+  RequestTracer tracer;
+  tracer.Configure(/*head_rate=*/1, /*slow_threshold_ns=*/0);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tracer, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        const uint64_t id = static_cast<uint64_t>(t) * 1000 + i;
+        // start_ns == id makes the global sort order checkable.
+        RequestTrace tr = KeyedTrace(id, /*start_ns=*/id, /*latency_ns=*/1);
+        tracer.Finish(&tr);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(tracer.retained(), kThreads * kPerThread);
+  const auto all = tracer.Snapshot();
+  ASSERT_EQ(all.size(), kThreads * kPerThread);
+  std::set<uint64_t> ids;
+  std::set<uint32_t> thread_ids;
+  for (size_t i = 0; i < all.size(); ++i) {
+    ids.insert(all[i].trace_id);
+    thread_ids.insert(all[i].thread_id);
+    if (i > 0) {
+      EXPECT_GE(all[i].start_ns, all[i - 1].start_ns);
+    }
+  }
+  EXPECT_EQ(ids.size(), kThreads * kPerThread);  // nothing lost or torn
+  EXPECT_EQ(thread_ids.size(), static_cast<size_t>(kThreads));
+
+  // A capped snapshot keeps the newest by start time.
+  const auto newest = tracer.Snapshot(/*max_traces=*/50);
+  ASSERT_EQ(newest.size(), 50u);
+  EXPECT_EQ(newest.back().start_ns, all.back().start_ns);
+  EXPECT_GE(newest.front().start_ns, all[all.size() - 50].start_ns);
+}
+
+// TSan soak: writers hammer their rings (with slow promotions mixed in)
+// while readers continuously take merged snapshots. Every trace a
+// reader observes must be internally consistent — a torn seqlock read
+// would break the id/start_ns/latency_ns/descent relation.
+TEST(RequestTracerTest, ConcurrentRecordAndMergeSoak) {
+  RequestTracer tracer;
+  tracer.Configure(/*head_rate=*/1,
+                   /*slow_threshold_ns=*/7 * 1900);  // promotes ~5%
+  constexpr int kWriters = 4;
+  const uint64_t per_writer = 20000;
+  std::atomic<int> writers_done{0};
+  std::atomic<uint64_t> torn{0};
+
+  auto check = [&torn](const RequestTrace& t) {
+    if (t.start_ns != t.trace_id * 3 ||
+        t.latency_ns != 7 * (t.trace_id % 2000) ||
+        t.descent.key != t.trace_id) {
+      torn.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&tracer, &writers_done, w, per_writer] {
+      for (uint64_t i = 0; i < per_writer; ++i) {
+        const uint64_t id = static_cast<uint64_t>(w) * per_writer + i;
+        RequestTrace t = KeyedTrace(id, /*start_ns=*/id * 3,
+                                    /*latency_ns=*/7 * (id % 2000));
+        tracer.Finish(&t);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&tracer, &writers_done, &check] {
+      while (writers_done.load() < kWriters) {
+        for (const RequestTrace& t : tracer.Snapshot()) check(t);
+        for (const RequestTrace& t : tracer.SlowSnapshot()) check(t);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(tracer.retained(), kWriters * per_writer);
+  // Final quiescent snapshot: full rings, all consistent.
+  const auto all = tracer.Snapshot();
+  EXPECT_EQ(all.size(), kWriters * RequestTracer::Ring::kCapacity);
+  for (const RequestTrace& t : all) check(t);
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(tracer.SlowSnapshot().size(), RequestTracer::kSlowCapacity);
 }
 
 TEST(RequestTracerTest, TraceIdsAreUniqueAndNonzero) {
@@ -246,8 +490,28 @@ TEST_F(RequestSpanEndToEndTest, StalledRequestRetainedWithAllSpanKinds) {
                static_cast<uint8_t>(k));
   }
 
-  // The /requestz payload carries the trace with named span kinds.
+  // The descent span's per-level children: the GET ran as a one-key
+  // FindBatch, Find's path, so the descent section holds one level per
+  // tree level of the key's shard, searched with the Seg-Tree's layout.
+  const DescentTrace& d = t.descent;
+  const size_t shard = index_->ShardOf(slow_key);
+  EXPECT_EQ(d.backend, static_cast<uint8_t>(TraceBackend::kSegTree));
+  EXPECT_EQ(d.key, slow_key);
+  EXPECT_EQ(d.found, 1);
+  EXPECT_EQ(d.shard, shard);
+  const int height = index_->WithShardRead(
+      shard, [](const Tree& tree) { return tree.height(); });
+  ASSERT_GT(height, 0);
+  EXPECT_EQ(d.levels, height);
+  for (int l = 0; l < d.levels; ++l) {
+    EXPECT_GT(d.level[l].simd_cmps + d.level[l].scalar_cmps, 0) << l;
+    EXPECT_NE(d.level[l].node_ref, kTraceNoNodeRef) << l;
+  }
+
+  // The /requestz payload carries the trace with named span kinds and
+  // its descent.
   const std::string requestz = RenderRequestzJson(tracer);
+  EXPECT_NE(requestz.find("\"backend\":\"segtree\""), std::string::npos);
   EXPECT_NE(requestz.find(TraceIdHex(t.trace_id)), std::string::npos);
   for (int k = 0; k < kNumRequestSpanKinds; ++k) {
     EXPECT_NE(requestz.find(RequestSpanKindName(static_cast<uint8_t>(k))),

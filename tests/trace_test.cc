@@ -1,21 +1,19 @@
-// Flight-recorder tests (obs/trace.h): ring wraparound, deterministic
-// 1-in-N sampling, slow-query promotion and bounded retention,
-// multi-thread ring merge, the OpenMetrics/JSON exposition round trip
-// (obs/export.h), and the stats server's endpoints over a real socket
-// (obs/stats_server.h). The concurrent record/merge soak is the TSan
-// target for the seqlock ring scheme.
+// Descent-record tests (obs/trace.h): the OpenMetrics/JSON exposition
+// round trip (obs/export.h) including a request trace's descent section,
+// an armed request trace's per-level descent through ShardedIndex, the
+// Find/FindCounted/FindTraced parity of every index family, and the
+// stats server's endpoints over a real socket (obs/stats_server.h). The
+// request recorder's ring, sampling and slow log are request_trace_test's.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <set>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "btree/btree.h"
@@ -23,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "segtree/segtree.h"
@@ -35,213 +34,6 @@ namespace simdtree {
 namespace {
 
 using obs::DescentTrace;
-using obs::Tracer;
-using obs::TraceRing;
-
-DescentTrace MakeTrace(uint64_t key, uint64_t start_ns,
-                       uint64_t latency_ns) {
-  DescentTrace t;
-  t.key = key;
-  t.start_ns = start_ns;
-  t.latency_ns = latency_ns;
-  return t;
-}
-
-// --- TraceRing ------------------------------------------------------------
-
-TEST(TraceRingTest, FreshSlotsAreUnreadable) {
-  TraceRing ring;
-  DescentTrace out;
-  EXPECT_EQ(ring.head(), 0u);
-  EXPECT_FALSE(ring.TryRead(0, &out));
-  EXPECT_FALSE(ring.TryRead(TraceRing::kCapacity - 1, &out));
-}
-
-TEST(TraceRingTest, WrapAroundRetainsNewest) {
-  TraceRing ring;
-  const uint64_t total = TraceRing::kCapacity + 37;
-  for (uint64_t i = 0; i < total; ++i) {
-    ring.Write(MakeTrace(/*key=*/i, /*start_ns=*/i * 10, /*latency_ns=*/i));
-  }
-  EXPECT_EQ(ring.head(), total);
-  // The newest kCapacity writes are all readable with intact payloads;
-  // older ones were overwritten in place.
-  DescentTrace out;
-  for (uint64_t i = total - TraceRing::kCapacity; i < total; ++i) {
-    ASSERT_TRUE(ring.TryRead(i % TraceRing::kCapacity, &out)) << i;
-    EXPECT_EQ(out.key, i);
-    EXPECT_EQ(out.start_ns, i * 10);
-  }
-}
-
-// --- sampling -------------------------------------------------------------
-
-TEST(TraceSamplingTest, DeterministicOneInN) {
-  Tracer::Global().Reset();  // also resets this thread's countdown
-  obs::EnableTracing(4);
-  EXPECT_EQ(obs::TraceSampleRate(), 4u);
-  std::vector<int> sampled;
-  for (int i = 1; i <= 100; ++i) {
-    if (obs::TraceShouldSample()) sampled.push_back(i);
-  }
-  obs::EnableTracing(0);
-  ASSERT_EQ(sampled.size(), 25u);
-  for (size_t j = 0; j < sampled.size(); ++j) {
-    EXPECT_EQ(sampled[j], static_cast<int>(4 * (j + 1)));
-  }
-}
-
-TEST(TraceSamplingTest, RateZeroNeverSamples) {
-  obs::EnableTracing(0);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(obs::TraceShouldSample());
-  }
-}
-
-TEST(TraceSamplingTest, RateOneSamplesEverything) {
-  Tracer::Global().Reset();
-  obs::EnableTracing(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(obs::TraceShouldSample());
-  }
-  obs::EnableTracing(0);
-}
-
-// --- slow-query log -------------------------------------------------------
-
-TEST(TracerTest, SlowPromotionHonorsThreshold) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(1000);
-  tracer.Record(MakeTrace(1, 10, /*latency_ns=*/999));
-  EXPECT_EQ(tracer.recorded(), 1u);
-  EXPECT_EQ(tracer.slow_recorded(), 0u);
-
-  tracer.Record(MakeTrace(2, 20, /*latency_ns=*/1000));  // at threshold
-  tracer.Record(MakeTrace(3, 30, /*latency_ns=*/5000));
-  EXPECT_EQ(tracer.slow_recorded(), 2u);
-  const auto slow = tracer.SlowSnapshot();
-  ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].key, 2u);
-  EXPECT_EQ(slow[1].key, 3u);
-  EXPECT_EQ(slow[0].slow, 1);  // the promoted flag is set on the copy
-  // The ring copy agrees with the slow copy on the flag.
-  const auto recent = tracer.Snapshot();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_EQ(recent[0].slow, 0);
-  EXPECT_EQ(recent[1].slow, 1);
-  EXPECT_EQ(recent[2].slow, 1);
-
-  // Threshold 0 disables promotion entirely.
-  tracer.SetSlowThresholdNs(0);
-  tracer.Record(MakeTrace(4, 40, /*latency_ns=*/~uint64_t{0}));
-  EXPECT_EQ(tracer.slow_recorded(), 2u);
-}
-
-TEST(TracerTest, SlowRetentionDropsOldest) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(1);
-  const uint64_t total = Tracer::kSlowCapacity + 10;
-  for (uint64_t i = 0; i < total; ++i) {
-    tracer.Record(MakeTrace(/*key=*/i, /*start_ns=*/i, /*latency_ns=*/100));
-  }
-  EXPECT_EQ(tracer.slow_recorded(), total);
-  const auto slow = tracer.SlowSnapshot();
-  ASSERT_EQ(slow.size(), Tracer::kSlowCapacity);
-  // Oldest first, and the 10 oldest entries were dropped.
-  for (size_t i = 0; i < slow.size(); ++i) {
-    EXPECT_EQ(slow[i].key, 10 + i);
-  }
-}
-
-// --- per-thread rings + merge ---------------------------------------------
-
-TEST(TracerTest, SnapshotMergesThreadRingsInStartOrder) {
-  Tracer tracer;
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 100;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        const uint64_t key = static_cast<uint64_t>(t) * 1000 + i;
-        // start_ns == key makes the global sort order checkable.
-        tracer.Record(MakeTrace(key, /*start_ns=*/key, /*latency_ns=*/1));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(tracer.recorded(), kThreads * kPerThread);
-  const auto all = tracer.Snapshot();
-  ASSERT_EQ(all.size(), kThreads * kPerThread);
-  std::set<uint64_t> keys;
-  std::set<uint32_t> thread_ids;
-  for (size_t i = 0; i < all.size(); ++i) {
-    keys.insert(all[i].key);
-    thread_ids.insert(all[i].thread_id);
-    if (i > 0) {
-      EXPECT_GE(all[i].start_ns, all[i - 1].start_ns);
-    }
-  }
-  EXPECT_EQ(keys.size(), kThreads * kPerThread);  // nothing lost or torn
-  EXPECT_EQ(thread_ids.size(), static_cast<size_t>(kThreads));
-
-  // A capped snapshot keeps the newest by start time.
-  const auto newest = tracer.Snapshot(/*max_traces=*/50);
-  ASSERT_EQ(newest.size(), 50u);
-  EXPECT_EQ(newest.back().start_ns, all.back().start_ns);
-  EXPECT_GE(newest.front().start_ns, all[all.size() - 50].start_ns);
-}
-
-// TSan soak: writers hammer their rings (with slow promotions mixed in)
-// while readers continuously take merged snapshots. Every trace a
-// reader observes must be internally consistent — a torn seqlock read
-// would break the key/start_ns/latency_ns relation.
-TEST(TracerTest, ConcurrentRecordAndMergeSoak) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(7 * 1900);  // promotes ~5% of writes
-  constexpr int kWriters = 4;
-  const uint64_t per_writer = 20000;
-  std::atomic<int> writers_done{0};
-  std::atomic<uint64_t> torn{0};
-
-  auto check = [&torn](const DescentTrace& t) {
-    if (t.start_ns != t.key * 3 || t.latency_ns != 7 * (t.key % 2000)) {
-      torn.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&tracer, &writers_done, w, per_writer] {
-      for (uint64_t i = 0; i < per_writer; ++i) {
-        const uint64_t key = static_cast<uint64_t>(w) * per_writer + i;
-        tracer.Record(
-            MakeTrace(key, /*start_ns=*/key * 3,
-                      /*latency_ns=*/7 * (key % 2000)));
-      }
-      writers_done.fetch_add(1);
-    });
-  }
-  for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&tracer, &writers_done, &check] {
-      while (writers_done.load() < kWriters) {
-        for (const DescentTrace& t : tracer.Snapshot()) check(t);
-        for (const DescentTrace& t : tracer.SlowSnapshot()) check(t);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(tracer.recorded(), kWriters * per_writer);
-  // Final quiescent snapshot: full rings, all consistent.
-  const auto all = tracer.Snapshot();
-  EXPECT_EQ(all.size(), kWriters * TraceRing::kCapacity);
-  for (const DescentTrace& t : all) check(t);
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(tracer.SlowSnapshot().size(), Tracer::kSlowCapacity);
-}
 
 // --- exposition -----------------------------------------------------------
 
@@ -310,24 +102,30 @@ TEST(ExportTest, CollidingNamesAreDeduplicated) {
       << text;
 }
 
-TEST(ExportTest, TracezJsonCarriesFullPath) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(100);
-  DescentTrace t = MakeTrace(/*key=*/7, /*start_ns=*/123,
-                             /*latency_ns=*/200);
-  t.backend = static_cast<uint8_t>(obs::TraceBackend::kSegTree);
-  t.found = 1;
+TEST(ExportTest, RequestzJsonCarriesDescentPath) {
+  obs::RequestTracer tracer;
+  tracer.Configure(/*head_rate=*/1, /*slow_threshold_ns=*/100);
+  obs::RequestTrace t;
+  t.trace_id = tracer.NextTraceId();
+  t.latency_ns = 200;
+  DescentTrace& d = t.descent;
+  d.key = 7;
+  d.shard = 3;
+  d.lock_wait_ns = 40;
+  d.backend = static_cast<uint8_t>(obs::TraceBackend::kSegTree);
+  d.found = 1;
   SearchCounters cmps;
   cmps.simd_comparisons = 4;
   cmps.scalar_comparisons = 1;
-  obs::AppendTraceLevel(&t, /*node_ref=*/99, obs::kTraceLayoutBreadthFirst,
+  obs::AppendTraceLevel(&d, /*node_ref=*/99, obs::kTraceLayoutBreadthFirst,
                         /*arena_slab=*/2, cmps, /*cycles=*/150);
-  tracer.Record(t);
+  ASSERT_TRUE(tracer.Finish(&t));
 
-  const std::string json = obs::RenderTracezJson(tracer);
+  const std::string json = obs::RenderRequestzJson(tracer);
   for (const char* needle :
-       {"\"key\":7", "\"latency_ns\":200", "\"backend\":\"segtree\"",
-        "\"found\":true", "\"slow\":true", "\"node_ref\":99",
+       {"\"latency_ns\":200", "\"descent\":{\"key\":7", "\"shard\":3",
+        "\"backend\":\"segtree\"", "\"found\":true",
+        "\"lock_wait_ns\":40", "\"node_ref\":99",
         "\"layout\":\"breadth_first\"", "\"arena_slab\":2",
         "\"simd_cmps\":4", "\"scalar_cmps\":1", "\"cycles\":150"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n"
@@ -338,32 +136,34 @@ TEST(ExportTest, TracezJsonCarriesFullPath) {
   EXPECT_NE(json.find("\"slow\":[{"), std::string::npos) << json;
 }
 
-// --- end-to-end: traced descent through the wrapper -----------------------
+// --- end-to-end: a traced read's descent through the wrapper -------------
 
-TEST(TraceHookTest, SampledFindRecordsFullDescent) {
+TEST(RequestDescentTest, TracedFindRecordsFullDescent) {
   using Tree = segtree::SegTree<uint64_t, uint64_t>;
   ShardedIndex<Tree> index(1);
   for (uint64_t k = 0; k < 50000; ++k) index.Insert(k * 2, k);
 
-  Tracer::Global().Reset();
-  obs::EnableTracing(1);
-  EXPECT_EQ(index.Find(2468), std::optional<uint64_t>(1234));
-  EXPECT_FALSE(index.Find(1).has_value());
-  obs::EnableTracing(0);
+  obs::RequestTracer tracer;
+  tracer.Configure(/*head_rate=*/1, /*slow_threshold_ns=*/0);
+  obs::TraceCall(tracer, [&] {
+    EXPECT_EQ(index.Find(2468), std::optional<uint64_t>(1234));
+  });
+  obs::TraceCall(tracer, [&] { EXPECT_FALSE(index.Find(1).has_value()); });
 
-  const auto traces = Tracer::Global().Snapshot();
+  const auto traces = tracer.Snapshot();
   ASSERT_EQ(traces.size(), 2u);
-  const DescentTrace& hit = traces[0];
+  const DescentTrace& hit = traces[0].descent;
   EXPECT_EQ(hit.key, 2468u);
   EXPECT_EQ(hit.found, 1);
+  EXPECT_EQ(hit.shard, 0);
   EXPECT_EQ(hit.backend, static_cast<uint8_t>(obs::TraceBackend::kSegTree));
   ASSERT_GT(hit.levels, 1);  // 50k keys: at least root + leaf
   for (int l = 0; l < hit.levels; ++l) {
     EXPECT_GT(hit.level[l].simd_cmps + hit.level[l].scalar_cmps, 0) << l;
     EXPECT_NE(hit.level[l].node_ref, obs::kTraceNoNodeRef) << l;
   }
-  EXPECT_EQ(traces[1].found, 0);
-  EXPECT_EQ(traces[1].key, 1u);
+  EXPECT_EQ(traces[1].descent.found, 0);
+  EXPECT_EQ(traces[1].descent.key, 1u);
 }
 
 // --- Find, FindCounted and FindTraced agree in every family -------------
@@ -520,8 +320,9 @@ TEST(StatsServerTest, ServesAllEndpointsOverSocket) {
 
   const std::string json = HttpGet(server.port(), "/metrics.json");
   EXPECT_NE(json.find("\"registry\":"), std::string::npos) << json;
-  const std::string tracez = HttpGet(server.port(), "/tracez?max=5");
-  EXPECT_NE(tracez.find("\"recent\":["), std::string::npos) << tracez;
+  const std::string requestz = HttpGet(server.port(), "/requestz?max=5");
+  EXPECT_NE(requestz.find("\"recent\":["), std::string::npos) << requestz;
+  EXPECT_NE(HttpGet(server.port(), "/tracez").find("404"), std::string::npos);
 
   const std::string missing = HttpGet(server.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos) << missing;
@@ -535,7 +336,7 @@ TEST(StatsServerTest, HandleRequestRoutesWithoutSocket) {
             std::string::npos);
   EXPECT_NE(obs::StatsServer::HandleRequest("/metrics").find("# EOF"),
             std::string::npos);
-  EXPECT_NE(obs::StatsServer::HandleRequest("/tracez").find("\"slow\":["),
+  EXPECT_NE(obs::StatsServer::HandleRequest("/requestz").find("\"slow\":["),
             std::string::npos);
   EXPECT_NE(obs::StatsServer::HandleRequest("/absent").find("404"),
             std::string::npos);

@@ -43,20 +43,21 @@
 //       [--trace-sample=N] [--slow-us=N] [--probes=keys.txt]
 //       [--duration-s=N]
 //       Loads the index and serves its observability surface over HTTP:
-//       /metrics (OpenMetrics), /metrics.json, /tracez (recent + slow
-//       query traces as JSON), /healthz. --bind widens the listen
-//       address beyond the 127.0.0.1 default (e.g. --bind=0.0.0.0 for a
-//       containerized Prometheus). Query tracing is sampled 1-in-N
-//       (--trace-sample, default 64; 0 disables); --slow-us promotes
-//       descents slower than N microseconds into the slow-query log.
+//       /metrics (OpenMetrics), /metrics.json, /requestz (recent + slow
+//       request traces with their per-level descents, as JSON),
+//       /healthz. --bind widens the listen address beyond the 127.0.0.1
+//       default (e.g. --bind=0.0.0.0 for a containerized Prometheus).
+//       Each probe lookup is traced as one request and kept 1-in-N
+//       (--trace-sample, default 64; 0 disables); --slow-us always keeps
+//       lookups slower than N microseconds, in the slow log.
 //       With --probes, a foreground loop replays the keys against the
 //       index so the endpoints have live data; with --duration-s the
 //       process exits after N seconds (default: serve until killed).
 //       --port=0 picks an ephemeral port (printed).
 //   simdtree_cli serve-kv <index.stix> [--port=N] [--threads=N]
 //       [--shards=N] [--bind=ADDR] [--stats-port=N] [--stats-bind=ADDR]
-//       [--trace-sample=N] [--slow-us=N] [--duration-s=N]
-//       [--request-sample=N] [--request-slow-us=N] [--profile-hz=N]
+//       [--duration-s=N] [--request-sample=N] [--request-slow-us=N]
+//       [--profile-hz=N]
 //       [--slo-window-s=N] [--slo-availability=F] [--slo-latency-ms=F]
 //       [--slo-latency-target=F]
 //       The end-to-end query service: loads the index, redistributes it
@@ -66,13 +67,14 @@
 //       PUT / DEL / STATS) with --threads epoll workers (default 2),
 //       coalescing each connection's in-flight pipeline into grouped
 //       FindBatch descents. The observability HTTP surface (/metrics,
-//       /tracez, /requestz, /profilez, /slo, ...) runs alongside on
+//       /requestz, /profilez, /slo, ...) runs alongside on
 //       --stats-port (default 9100; --stats-port=-1 disables).
-//       Request-level spans with tail sampling: --request-sample=N
+//       Request traces with tail sampling: --request-sample=N
 //       keeps 1-in-N completed requests (0 disables, default 64) and
 //       --request-slow-us promotes every request slower than N
 //       microseconds regardless of the sample (default 10000); both
-//       feed /requestz and histogram exemplars. --profile-hz=N arms
+//       feed /requestz (spans plus each read's per-level descent) and
+//       histogram exemplars. --profile-hz=N arms
 //       the continuous on-CPU profiler at N samples/s/thread (0
 //       disables; /profilez shows the folded stacks). The /slo window
 //       is shaped by --slo-window-s (default 60), --slo-availability
@@ -82,11 +84,12 @@
 //       (or --duration-s) drains gracefully: /healthz flips to 503
 //       "draining", in-flight pipelines finish and replies flush
 //       before the sockets close. Drive it with bench/bb_serve.
-//   simdtree_cli tracez <index.stix> <keys.txt> [--trace-sample=N]
+//   simdtree_cli requestz <index.stix> <keys.txt> [--trace-sample=N]
 //       [--slow-us=N] [--max=N]
-//       Runs the keys against the index with tracing on (default: every
-//       query) and dumps the flight recorder as one JSON document — the
-//       offline twin of the /tracez endpoint.
+//       Looks up each key as one traced request (kept 1-in-N, default
+//       every one; --slow-us always keeps lookups slower than N
+//       microseconds) and dumps the request recorder as one JSON
+//       document — the offline twin of the /requestz endpoint.
 //   simdtree_cli dispatch [--json]
 //       Prints the runtime SIMD dispatch decision: detected CPU
 //       features, the selected backend (after the
@@ -118,7 +121,6 @@
 #include "obs/request_trace.h"
 #include "obs/slo.h"
 #include "obs/stats_server.h"
-#include "obs/trace.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
 
@@ -156,9 +158,9 @@ int Usage() {
                "       simdtree_cli serve-kv <index.stix> [--port=N] "
                "[--threads=N] [--shards=N]\n"
                "         [--bind=ADDR] [--stats-port=N] [--stats-bind=ADDR]\n"
-               "         [--trace-sample=N] [--slow-us=N] [--duration-s=N]\n"
-               "         [--request-sample=N] [--request-slow-us=N] "
-               "[--profile-hz=N]\n"
+               "         [--duration-s=N] [--request-sample=N] "
+               "[--request-slow-us=N]\n"
+               "         [--profile-hz=N]\n"
                "         [--slo-window-s=N] [--slo-availability=F]\n"
                "         [--slo-latency-ms=F] [--slo-latency-target=F]\n"
                "         (pipelined binary KV protocol over a sharded "
@@ -167,10 +169,12 @@ int Usage() {
                "surface;\n"
                "          --request-sample/--request-slow-us arm tail-"
                "sampled\n"
-               "          request spans for /requestz + exemplars;\n"
+               "          request traces for /requestz + exemplars;\n"
                "          --profile-hz arms the continuous profiler for "
                "/profilez)\n"
-               "       simdtree_cli tracez <index.stix> <keys.txt> "
+               "         (--trace-sample/--slow-us: which probe lookups "
+               "/requestz keeps)\n"
+               "       simdtree_cli requestz <index.stix> <keys.txt> "
                "[--trace-sample=N] [--slow-us=N] [--max=N]\n"
                "       simdtree_cli dispatch [--json]\n"
                "       simdtree_cli selftest\n");
@@ -556,9 +560,9 @@ int CmdProfile(int argc, char** argv) {
   return 0;
 }
 
-// Serves /metrics, /metrics.json, /tracez, and /healthz for a loaded
-// index, optionally replaying a probe workload in the foreground so the
-// endpoints show live traffic.
+// Serves /metrics, /metrics.json, /requestz, and /healthz for a loaded
+// index, optionally replaying a probe workload in the foreground — each
+// lookup traced as one request — so the endpoints show live traffic.
 int CmdServe(int argc, char** argv) {
   if (argc < 3) return Usage();
   long port = 9100;
@@ -584,7 +588,9 @@ int CmdServe(int argc, char** argv) {
       return Usage();
     }
   }
-  if (port < 0 || port > 65535 || sample < 0) return Usage();
+  if (port < 0 || port > 65535 || sample < 0 || sample > UINT32_MAX) {
+    return Usage();
+  }
   auto tree = LoadIndex(argv[2]);
   if (!tree.has_value()) return 1;
   std::vector<uint64_t> probes, unused;
@@ -593,11 +599,10 @@ int CmdServe(int argc, char** argv) {
 
   simdtree::ShardedIndex<Tree> index(std::move(*tree));
   index.EnableMetrics("cli.serve");
-  simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
-  if (slow_us >= 0) {
-    simdtree::obs::Tracer::Global().SetSlowThresholdNs(
-        static_cast<uint64_t>(slow_us) * 1000);
-  }
+  auto& tracer = simdtree::obs::RequestTracer::Global();
+  tracer.Configure(static_cast<uint32_t>(sample),
+                   slow_us >= 0 ? static_cast<uint64_t>(slow_us) * 1000
+                                : tracer.slow_threshold_ns());
 
   simdtree::obs::StatsServer server;
   if (!server.Start(static_cast<uint16_t>(port), bind_addr)) {
@@ -606,7 +611,7 @@ int CmdServe(int argc, char** argv) {
     return 1;
   }
   std::printf("serving %s on http://%s:%u "
-              "(/metrics /metrics.json /tracez /healthz), "
+              "(/metrics /metrics.json /requestz /healthz), "
               "trace sample 1-in-%ld, %zu probe keys\n",
               argv[2], bind_addr.c_str(), server.port(), sample,
               probes.size());
@@ -617,20 +622,19 @@ int CmdServe(int argc, char** argv) {
   size_t lookups = 0;
   while (duration_s == 0 || std::chrono::steady_clock::now() < until) {
     if (!probes.empty()) {
-      index.Find(probes[lookups % probes.size()]);
+      const uint64_t key = probes[lookups % probes.size()];
+      simdtree::obs::TraceCall(tracer, [&] { index.Find(key); });
       ++lookups;
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
   server.Stop();
-  std::printf("served %ld s, %zu probe lookups, %llu traces recorded "
+  std::printf("served %ld s, %zu probe lookups, %llu traces retained "
               "(%llu slow)\n",
               duration_s, lookups,
-              static_cast<unsigned long long>(
-                  simdtree::obs::Tracer::Global().recorded()),
-              static_cast<unsigned long long>(
-                  simdtree::obs::Tracer::Global().slow_recorded()));
+              static_cast<unsigned long long>(tracer.retained()),
+              static_cast<unsigned long long>(tracer.slow_retained()));
   return 0;
 }
 
@@ -650,8 +654,6 @@ int CmdServeKv(int argc, char** argv) {
   long threads = 2;
   long shards = 8;
   long stats_port = 9100;
-  long sample = 64;
-  long slow_us = -1;
   long duration_s = 0;
   long request_sample = 64;
   long request_slow_us = 10'000;
@@ -675,10 +677,6 @@ int CmdServeKv(int argc, char** argv) {
       stats_port = std::atol(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--stats-bind=", 13) == 0) {
       stats_bind = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      sample = std::atol(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--slow-us=", 10) == 0) {
-      slow_us = std::atol(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--duration-s=", 13) == 0) {
       duration_s = std::atol(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--request-sample=", 17) == 0) {
@@ -700,7 +698,7 @@ int CmdServeKv(int argc, char** argv) {
     }
   }
   if (port < 0 || port > 65535 || threads < 1 || shards < 1 ||
-      stats_port > 65535 || sample < 0 || request_sample < 0 ||
+      stats_port > 65535 || request_sample < 0 ||
       request_slow_us < 0 || profile_hz < 0 || slo_window_s <= 0) {
     return Usage();
   }
@@ -727,12 +725,6 @@ int CmdServeKv(int argc, char** argv) {
                   },
                   /*hi_inclusive=*/true);
   sharded.EnableMetrics("kv.index");
-
-  simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
-  if (slow_us >= 0) {
-    simdtree::obs::Tracer::Global().SetSlowThresholdNs(
-        static_cast<uint64_t>(slow_us) * 1000);
-  }
 
   simdtree::net::ShardedKvBackend<Tree> backend(&sharded);
   simdtree::net::KvServer server(&backend);
@@ -817,9 +809,9 @@ int CmdServeKv(int argc, char** argv) {
   return 0;
 }
 
-// Offline twin of the /tracez endpoint: replay a key file with tracing
-// on and dump the flight recorder as JSON.
-int CmdTracez(int argc, char** argv) {
+// Offline twin of the /requestz endpoint: looks up each key of a file as
+// one traced request and dumps the request recorder as JSON.
+int CmdRequestz(int argc, char** argv) {
   if (argc < 4) return Usage();
   long sample = 1;
   long slow_us = -1;
@@ -835,26 +827,24 @@ int CmdTracez(int argc, char** argv) {
       return Usage();
     }
   }
-  if (sample < 1 || max_traces < 0) return Usage();
+  if (sample < 1 || sample > UINT32_MAX || max_traces < 0) return Usage();
   auto tree = LoadIndex(argv[2]);
   if (!tree.has_value()) return 1;
   std::vector<uint64_t> probes, unused;
   if (!ReadPairsFile(argv[3], &probes, &unused)) return 1;
 
   simdtree::ShardedIndex<Tree> index(std::move(*tree));
-  simdtree::obs::Tracer::Global().Reset();
-  simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
-  if (slow_us >= 0) {
-    simdtree::obs::Tracer::Global().SetSlowThresholdNs(
-        static_cast<uint64_t>(slow_us) * 1000);
+  auto& tracer = simdtree::obs::RequestTracer::Global();
+  tracer.Reset();
+  tracer.Configure(static_cast<uint32_t>(sample),
+                   slow_us >= 0 ? static_cast<uint64_t>(slow_us) * 1000 : 0);
+  for (const uint64_t key : probes) {
+    simdtree::obs::TraceCall(tracer, [&] { index.Find(key); });
   }
-  for (const uint64_t key : probes) index.Find(key);
-  simdtree::obs::EnableTracing(0);
-  std::printf("%s\n",
-              simdtree::obs::RenderTracezJson(
-                  simdtree::obs::Tracer::Global(),
-                  static_cast<size_t>(max_traces))
-                  .c_str());
+  tracer.Configure(0, 0);
+  std::printf("%s\n", simdtree::obs::RenderRequestzJson(
+                          tracer, static_cast<size_t>(max_traces))
+                          .c_str());
   return 0;
 }
 
@@ -934,7 +924,7 @@ int main(int argc, char** argv) {
   if (cmd == "profile") return CmdProfile(argc, argv);
   if (cmd == "serve") return CmdServe(argc, argv);
   if (cmd == "serve-kv") return CmdServeKv(argc, argv);
-  if (cmd == "tracez") return CmdTracez(argc, argv);
+  if (cmd == "requestz") return CmdRequestz(argc, argv);
   if (cmd == "dispatch") return CmdDispatch(argc, argv);
   if (cmd == "selftest") return CmdSelfTest();
   return Usage();
